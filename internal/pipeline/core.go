@@ -48,11 +48,6 @@ var (
 	fpMulClasses  = queue.MaskOf(workload.FPMul, workload.FPDiv)
 )
 
-type storeRec struct {
-	block  uint64
-	issued bool
-}
-
 // Core is one simulated processor instance. Construct with New, then
 // either Run once, or Start once, advance with StepIntervals and read the
 // Result from Finish. A finished core can be recycled for another run
@@ -83,6 +78,16 @@ type Core struct {
 	// wake is the per-tick wakeup context handed to the issue-queue CAM
 	// scans; Periods aliases c.periods and Ring the completion ring.
 	wake queue.Wakeup
+	// quiet holds each exec domain's quiet-until bound: the issue
+	// structure's last scan selected nothing, and none of its entries can
+	// pass the readiness test before this time. Ticks before it skip the
+	// scan. Every readiness input — ring dispatch and completion, queue
+	// push, LSQ retire, a period change, and any bulk state change
+	// (ShiftTimes, RestoreWarm, Start) — resets the affected bounds to
+	// −Inf through wakeScans. Skipping is exact: the bound is the
+	// scan's own readiness expression, so t < quiet[d] means that scan
+	// would select nothing.
+	quiet [clock.NumControllable]float64
 
 	meter *power.Meter
 	pred  *branch.Predictor
@@ -169,9 +174,9 @@ type Core struct {
 	walkS   int
 	walkOff int
 
-	selBuf   []queue.Entry
-	selBuf2  []queue.Entry
-	storeBuf []storeRec
+	selBuf  []queue.Entry
+	selBuf2 []queue.Entry
+	lsBuf   []queue.LSQIssue
 
 	intervals []stats.Interval
 }
@@ -353,6 +358,7 @@ func (c *Core) Start(opts RunOptions) {
 		Periods:      c.periods,
 		Ring:         c.ring,
 	}
+	c.wakeScans()
 	c.intRegsFree = cfg.IntRenameRegs
 	c.fpRegsFree = cfg.FPRenameRegs
 	c.nextIvAt = c.opts.IntervalLength
@@ -399,6 +405,7 @@ func (c *Core) StepIntervals(n int) bool {
 			c.sched.SetFrequencyMHz(d, f)
 			c.periods[d] = c.clks[d].PeriodPS()
 			c.wake.Periods[d] = c.periods[d]
+			c.wakeScans()
 		}
 		c.freqIntegral[d] += f * dt
 		c.last[d] = t
@@ -542,6 +549,15 @@ func (c *Core) xvisible(done float64, from, to clock.Domain) float64 {
 func (c *Core) complete(seq uint64, at float64) {
 	c.ring.Complete(seq, at)
 	c.rob.Complete(seq, at)
+	c.wakeScans()
+}
+
+// wakeScans records that a readiness input changed: every issue
+// structure scans again on its next edge.
+func (c *Core) wakeScans() {
+	for d := range c.quiet {
+		c.quiet[d] = math.Inf(-1)
+	}
 }
 
 func src(seq uint64, dist uint32) int64 {
@@ -569,6 +585,7 @@ func (c *Core) feTick(t float64) {
 		}
 		if h.Class.Memory() {
 			c.lsq.Retire(h.Seq)
+			c.quiet[clock.LoadStore] = math.Inf(-1)
 		}
 		if writesInt(h.Class) {
 			c.intRegsFree++
@@ -671,6 +688,7 @@ func (c *Core) fetch(t float64, v float64, active *bool) {
 		seq := in.Seq
 		dom := execDomain(in.Class)
 		c.ring.Dispatch(seq, uint8(dom))
+		c.wakeScans() // covers the queue push below too
 		c.rob.Push(queue.ROBEntry{Seq: seq, DoneAt: math.Inf(1), Domain: uint8(dom), Class: in.Class})
 		// A dispatched entry is consumable at the destination's next edge
 		// (one-cycle dispatch-to-issue in the synchronous machine); across
@@ -733,6 +751,10 @@ func (c *Core) intTick(t float64) {
 	c.occupSum[d] += float64(occ)
 	c.ivTicks[d]++
 	c.meter.Access(power.IntCAM, v, occ)
+	if t < c.quiet[d] {
+		c.meter.ClockTick(d, v, occ > 0)
+		return
+	}
 
 	c.wake.SetTick(t, uint8(d))
 	// One fused CAM walk selects both pipes (the class sets are
@@ -740,7 +762,7 @@ func (c *Core) intTick(t float64) {
 	// ones, exactly as the two-pass formulation did. Completions stamped
 	// here cannot flip a later readiness test in the same walk: a
 	// latency of ≥1 producer cycle puts every bypass point after t.
-	c.selBuf, c.selBuf2 = c.iiq.SelectReady2(
+	c.selBuf, c.selBuf2, c.quiet[d] = c.iiq.Select(
 		c.cfg.IntALUs, intALUClasses, c.cfg.IntMuls, intMulClasses,
 		&c.wake, c.selBuf[:0], c.selBuf2[:0])
 	for i := range c.selBuf {
@@ -787,10 +809,14 @@ func (c *Core) fpTick(t float64) {
 	c.occupSum[d] += float64(occ)
 	c.ivTicks[d]++
 	c.meter.Access(power.FPCAM, v, occ)
+	if t < c.quiet[d] {
+		c.meter.ClockTick(d, v, occ > 0)
+		return
+	}
 
 	c.wake.SetTick(t, uint8(d))
 	// Fused two-pipe walk; see intTick for the ordering argument.
-	c.selBuf, c.selBuf2 = c.fiq.SelectReady2(
+	c.selBuf, c.selBuf2, c.quiet[d] = c.fiq.Select(
 		c.cfg.FPALUs, fpALUClasses, c.cfg.FPMuls, fpMulClasses,
 		&c.wake, c.selBuf[:0], c.selBuf2[:0])
 	for i := range c.selBuf {
@@ -818,74 +844,38 @@ func (c *Core) lsTick(t float64) {
 	d := clock.LoadStore
 	v := c.regs[d].Voltage()
 	period := c.periods[d]
-	entries := c.lsq.Entries()
-	occ := len(entries)
+	occ := c.lsq.Len()
 	c.occupSum[d] += float64(occ)
 	c.ivTicks[d]++
 	c.meter.Access(power.LSQCAM, v, occ)
+	if t < c.quiet[d] {
+		c.meter.ClockTick(d, v, occ > 0)
+		return
+	}
 
-	ports := c.cfg.MemPorts
-	issuedAny := false
-	c.storeBuf = c.storeBuf[:0]
-	allIssued := true // all older stores issued so far in the scan
 	c.wake.SetTick(t, uint8(d))
-	wk := c.wake // registerized copy, as in the issue-queue scans
-
-	for i := range entries {
-		e := &entries[i]
-		if ports == 0 {
-			// No port can issue anything further this cycle, and the
-			// rest of the scan only feeds the forwarding buffer loads
-			// would read — nothing below can have an effect. Stop.
-			break
-		}
+	// The walk selects first and the issues are stamped after it, in
+	// program order; as in intTick, no completion stamped here could
+	// have flipped a later readiness test in the walk (the shortest
+	// latency is one cycle, past the half-cycle bypass point).
+	c.lsBuf, c.quiet[d] = c.lsq.Select(c.cfg.MemPorts, &c.wake, c.lsBuf[:0])
+	for i := range c.lsBuf {
+		e := c.lsBuf[i].E
 		if e.IsStore {
-			if !e.Issued && e.VisibleAt <= t &&
-				wk.SrcReady(e.Src1) && wk.SrcReady(e.Src2) {
-				// Address resolution; data is written at retirement, but
-				// the access energy belongs to the store.
-				e.Issued = true
-				e.DoneAt = t + period
-				c.complete(e.Seq, e.DoneAt)
-				_, l2 := c.hier.Data(e.Addr)
-				c.meter.Access(power.LSQ, v, 1)
-				c.meter.Access(power.DCache, v, 1)
-				if l2 {
-					c.meter.Access(power.L2Cache, v, 1)
-				}
-				ports--
-				issuedAny = true
-			}
-			c.storeBuf = append(c.storeBuf, storeRec{block: e.Block, issued: e.Issued})
-			if !e.Issued {
-				allIssued = false
+			// Address resolution; data is written at retirement, but
+			// the access energy belongs to the store.
+			e.DoneAt = t + period
+			c.complete(e.Seq, e.DoneAt)
+			_, l2 := c.hier.Data(e.Addr)
+			c.meter.Access(power.LSQ, v, 1)
+			c.meter.Access(power.DCache, v, 1)
+			if l2 {
+				c.meter.Access(power.L2Cache, v, 1)
 			}
 			continue
 		}
-
-		if e.Issued {
-			continue
-		}
-		if e.VisibleAt > t || !wk.SrcReady(e.Src1) || !wk.SrcReady(e.Src2) {
-			continue
-		}
-		// Loads wait until every older store address is known, then
-		// forward from the youngest matching store or access the cache.
-		if !allIssued {
-			continue
-		}
-		forwarded := false
-		for j := len(c.storeBuf) - 1; j >= 0; j-- {
-			if c.storeBuf[j].block == e.Block {
-				forwarded = true
-				break
-			}
-		}
-		e.Issued = true
-		issuedAny = true
-		ports--
 		c.meter.Access(power.LSQ, v, 1)
-		if forwarded {
+		if c.lsBuf[i].Forward {
 			e.DoneAt = t + period
 			c.complete(e.Seq, e.DoneAt)
 			continue
@@ -907,7 +897,7 @@ func (c *Core) lsTick(t float64) {
 		}
 	}
 
-	c.meter.ClockTick(d, v, issuedAny || occ > 0)
+	c.meter.ClockTick(d, v, len(c.lsBuf) > 0 || occ > 0)
 }
 
 // mark begins the measured region: energy, time, frequency integrals and

@@ -413,7 +413,7 @@ func (c *Core) fastForwardInterval() {
 		done++
 	}
 	for done < need && !c.genDone {
-		if !c.gen.Next(&c.pending) {
+		if !c.gen.NextWarm(&c.pending) { // warming reads no dependencies
 			c.genDone = true
 			break
 		}
@@ -487,6 +487,7 @@ func (c *Core) fastForwardInterval() {
 	c.rob.ShiftTimes(dt)
 	c.ring.ShiftTimes(dt)
 	c.fetchStall += dt
+	c.wakeScans() // covers the period changes below too
 
 	actRatio := float64(done) / float64(ivLen)
 	for d := 0; d < clock.NumControllable; d++ {

@@ -196,6 +196,7 @@ func (c *Core) RestoreWarm(w *WarmState) {
 	c.ivTicks = w.ivTicks
 	c.freqIntegral = w.freqIntegral
 	c.wake.Periods = c.periods
+	c.wakeScans()
 	c.sched.Refresh()
 
 	c.intRegsFree = w.intRegsFree

@@ -51,10 +51,10 @@ func (m ClassMask) Has(c workload.Class) bool { return m&(1<<c) != 0 }
 // the scan reads it from the stack; the pipeline refreshes it whenever a
 // clock is reprogrammed. The floating-point expressions below reproduce
 // pipeline.Core's cross-domain visibility rule operation-for-operation,
-// which byte-identical results depend on.
+// which byte-identical results depend on; the scans' quiet-until bounds
+// are those same values.
 type Wakeup struct {
 	Now          float64
-	Domain       uint8 // consuming domain
 	SingleClock  bool
 	SyncWindowPS float64
 	Periods      [4]float64 // current period of each controllable domain, ps
@@ -77,7 +77,7 @@ type Wakeup struct {
 // the consuming domain, and the folded visibility operands for the
 // current period table.
 func (w *Wakeup) SetTick(now float64, dom uint8) {
-	w.Now, w.Domain = now, dom
+	w.Now = now
 	for p := 0; p < 4; p++ {
 		if w.SingleClock || uint8(p) == dom {
 			w.subPS[p] = 0.5 * w.Periods[p]
@@ -89,45 +89,40 @@ func (w *Wakeup) SetTick(now float64, dom uint8) {
 	}
 }
 
-// SrcReady reports whether producer src's result is visible in the
-// consuming domain at Now. Within a domain (and in the fully synchronous
-// configuration) the completion time minus a half-cycle guard is the
-// bypass point; across domains the wakeup broadcast launches one producer
-// cycle early and must clear the synchronization window (see
-// pipeline.Core's clocking-model commentary). Overwritten or never-seen
-// producers are ancient history, hence visible.
-func (w *Wakeup) SrcReady(src int64) bool {
+// readyAt raises rt to the time producer src's result becomes visible
+// in the consuming domain under the folded operands. Within a domain
+// (and in the fully synchronous configuration) the completion time minus
+// a half-cycle guard is the bypass point; across domains the wakeup
+// broadcast launches one producer cycle early and must clear the
+// synchronization window (see pipeline.Core's clocking-model
+// commentary). Absent, overwritten or never-seen producers are ancient
+// history and leave rt alone; producers still in flight (doneAt = +Inf)
+// raise it to +Inf. The CAM scans load the wakeup parameters into locals
+// once and this form inlines with every operand registerized (the
+// compiler cannot otherwise prove the scans' entry writes don't alias
+// the Wakeup).
+func readyAt(slots []ringSlot, mask uint64, sub, add *[4]float64, rt float64, src int64) float64 {
 	if src < 0 {
-		return true
-	}
-	s := w.Ring.slots[uint64(src)&w.Ring.mask]
-	if s.meta&ringSeqMask != uint64(src) {
-		return true
-	}
-	prod := (s.meta >> ringSeqBits) & 3 // producers are the three exec domains
-	return w.Now >= s.doneAt-w.subPS[prod]+w.addPS[prod]
-}
-
-// Ready reports whether entry e itself has crossed into the domain and
-// both its sources are visible.
-func (w *Wakeup) Ready(e *Entry) bool {
-	return e.VisibleAt <= w.Now && w.SrcReady(e.Src1) && w.SrcReady(e.Src2)
-}
-
-// srcReady is SrcReady over explicitly hoisted operands: the CAM scans
-// load the wakeup parameters into locals once, and this form inlines
-// with every operand already registerized (the compiler cannot otherwise
-// prove the scans' entry writes don't alias the Wakeup).
-func srcReady(slots []ringSlot, mask uint64, sub, add *[4]float64, now float64, src int64) bool {
-	if src < 0 {
-		return true
+		return rt
 	}
 	s := slots[uint64(src)&mask]
 	if s.meta&ringSeqMask != uint64(src) {
-		return true
+		return rt
 	}
-	p := (s.meta >> ringSeqBits) & 3
-	return now >= s.doneAt-sub[p]+add[p]
+	p := (s.meta >> ringSeqBits) & 3 // producers are the three exec domains
+	if v := s.doneAt - sub[p] + add[p]; v > rt {
+		return v
+	}
+	return rt
+}
+
+// scanParams hoists a Wakeup's operands into values the scans keep in
+// registers.
+func (w *Wakeup) scanParams() (slots []ringSlot, mask uint64, sub, add [4]float64) {
+	if r := w.Ring; r != nil { // entries without sources never consult it
+		slots, mask = r.slots, r.mask
+	}
+	return slots, mask, w.subPS, w.addPS
 }
 
 // IssueQueue is a small in-order-storage, out-of-order-select queue.
@@ -192,70 +187,30 @@ func (q *IssueQueue) ShiftTimes(dt float64) {
 	}
 }
 
-// SelectReady removes and returns up to max entries whose class is in
-// classes and that are ready under w, oldest first, appending to out.
-// The scan models the wakeup/select CAM: every resident entry is
-// examined, with no indirect calls. Compaction starts only at the first
-// selected entry, so a scan that issues nothing (the common case) writes
-// nothing back.
-func (q *IssueQueue) SelectReady(max int, classes ClassMask, w *Wakeup, out []Entry) []Entry {
-	if max <= 0 || len(q.entries) == 0 {
-		return out
-	}
-	// The wakeup parameters are hoisted into locals so they stay
-	// registerized across the scan (the compiler cannot prove the entry
-	// writes below don't alias *w); readiness below is exactly
-	// Wakeup.Ready over them.
-	var slots []ringSlot
-	var rmask uint64
-	if r := w.Ring; r != nil { // entries without sources never consult it
-		slots, rmask = r.slots, r.mask
-	}
-	subv, addv := w.subPS, w.addPS
-	now := w.Now
-	wr := -1
-	for i := range q.entries {
-		e := &q.entries[i]
-		if max > 0 && classes.Has(e.Class) && e.VisibleAt <= now &&
-			srcReady(slots, rmask, &subv, &addv, now, e.Src1) &&
-			srcReady(slots, rmask, &subv, &addv, now, e.Src2) {
-			out = append(out, *e)
-			max--
-			if wr < 0 {
-				wr = i
-			}
-			continue
-		}
-		if wr >= 0 {
-			q.entries[wr] = *e
-			wr++
-		}
-	}
-	if wr >= 0 {
-		q.entries = q.entries[:wr]
-	}
-	return out
-}
-
-// SelectReady2 performs two disjoint selections in one CAM walk — the
-// per-domain tick issues its ALU-class and multiplier-class pipes from
-// the same queue, and fusing the passes halves the scan. Because the
-// class sets are disjoint, the selections are exactly those the two
-// corresponding SelectReady passes would make; callers process out1
-// completely before out2 to keep side-effect order identical to the
-// two-pass formulation.
-func (q *IssueQueue) SelectReady2(max1 int, c1 ClassMask, max2 int, c2 ClassMask, w *Wakeup, out1, out2 []Entry) ([]Entry, []Entry) {
+// Select is one domain tick's wakeup/select CAM walk. It issues two
+// pipes in one walk — ALU-class and multiplier-class from the same
+// queue — removing up to max1 ready entries whose class is in c1 and up
+// to max2 in c2, oldest first, appending them to out1 and out2. The class
+// sets are disjoint, so each entry is willing for at most one pipe and
+// the selections are exactly those of one pass per pipe; callers process
+// out1 completely before out2. Every resident entry is examined, with no
+// indirect calls, and compaction starts only at the first selected
+// entry, so a scan that issues nothing writes nothing back.
+//
+// An entry is ready at Now when Now ≥ max(VisibleAt, each source's
+// visibility time), which is the entry-visible and sources-visible test
+// evaluated as one comparison. Select also returns the scan's quiet-until
+// bound: when nothing is selected, the minimum of that maximum over the
+// willing entries, i.e. the earliest time any later scan could select
+// anything (+Inf when none can). The bound holds only while no readiness
+// input changes: the ring, the queue's contents and the period table
+// behind w. A scan that selects returns −Inf.
+func (q *IssueQueue) Select(max1 int, c1 ClassMask, max2 int, c2 ClassMask, w *Wakeup, out1, out2 []Entry) ([]Entry, []Entry, float64) {
+	quiet := math.Inf(1)
 	if len(q.entries) == 0 || (max1 <= 0 && max2 <= 0) {
-		return out1, out2
+		return out1, out2, quiet
 	}
-	// Hoisted wakeup parameters; see SelectReady. Each entry is willing
-	// for at most one pipe, so the readiness test runs at most once.
-	var slots []ringSlot
-	var rmask uint64
-	if r := w.Ring; r != nil { // entries without sources never consult it
-		slots, rmask = r.slots, r.mask
-	}
-	subv, addv := w.subPS, w.addPS
+	slots, rmask, subv, addv := w.scanParams()
 	now := w.Now
 	wr := -1
 	for i := range q.entries {
@@ -266,31 +221,36 @@ func (q *IssueQueue) SelectReady2(max1 int, c1 ClassMask, max2 int, c2 ClassMask
 		} else if max2 > 0 && c2.Has(e.Class) {
 			pipe = 2
 		}
-		if pipe != 0 && e.VisibleAt <= now &&
-			srcReady(slots, rmask, &subv, &addv, now, e.Src1) &&
-			srcReady(slots, rmask, &subv, &addv, now, e.Src2) {
-			if pipe == 1 {
-				out1 = append(out1, *e)
-				max1--
-			} else {
-				out2 = append(out2, *e)
-				max2--
+		if pipe != 0 {
+			rt := readyAt(slots, rmask, &subv, &addv, e.VisibleAt, e.Src1)
+			rt = readyAt(slots, rmask, &subv, &addv, rt, e.Src2)
+			if now >= rt {
+				if pipe == 1 {
+					out1 = append(out1, *e)
+					max1--
+				} else {
+					out2 = append(out2, *e)
+					max2--
+				}
+				if wr < 0 {
+					wr = i
+				}
+				continue
 			}
-		} else {
-			if wr >= 0 {
-				q.entries[wr] = *e
-				wr++
+			if rt < quiet {
+				quiet = rt
 			}
-			continue
 		}
-		if wr < 0 {
-			wr = i
+		if wr >= 0 {
+			q.entries[wr] = *e
+			wr++
 		}
 	}
 	if wr >= 0 {
 		q.entries = q.entries[:wr]
+		quiet = math.Inf(-1)
 	}
-	return out1, out2
+	return out1, out2, quiet
 }
 
 // CompletionRing maps a dynamic instruction seq to its completion time and
@@ -586,31 +546,59 @@ func (l *LSQ) Push(e LSQEntry) bool {
 	return true
 }
 
-// Entries exposes the backing slice for the issue scan. Callers may mutate
-// Issued/DoneAt in place.
-func (l *LSQ) Entries() []LSQEntry { return l.entries }
+// LSQIssue is one LSQ selection: the issued entry and, for a load,
+// whether an older store to the same block forwards its data.
+type LSQIssue struct {
+	E       *LSQEntry
+	Forward bool
+}
 
-// OlderStores inspects stores older than the entry at index idx:
-// allResolved is true when every older store has issued (address known);
-// forwarded is true when the youngest older store to the same block has
-// completed, making store-to-load forwarding possible.
-func (l *LSQ) OlderStores(idx int, now float64) (allResolved, match, forwardable bool) {
-	e := &l.entries[idx]
-	allResolved = true
-	for i := idx - 1; i >= 0; i-- {
-		s := &l.entries[i]
-		if !s.IsStore {
+// Select is the load/store domain tick's issue walk over at most ports
+// memory ports, in program order. A store issues (resolves its address)
+// once it is visible and its sources are; a load additionally waits
+// until every older store has issued, then forwards from an older store
+// to the same block or accesses the cache. Each selected entry is marked
+// Issued and appended to out; the caller stamps DoneAt and completes it.
+// Readiness and the quiet-until bound are as for IssueQueue.Select, with
+// one rule more: a load blocked only by an unissued older store
+// contributes +Inf, because that store's own bound covers it and its
+// issue is itself a readiness input.
+func (l *LSQ) Select(ports int, w *Wakeup, out []LSQIssue) ([]LSQIssue, float64) {
+	slots, rmask, subv, addv := w.scanParams()
+	now := w.Now
+	quiet := math.Inf(1)
+	n0 := len(out)
+	allIssued := true // every older store has issued
+	for i := 0; i < len(l.entries) && ports > 0; i++ {
+		e := &l.entries[i]
+		if e.Issued || (!e.IsStore && !allIssued) {
 			continue
 		}
-		if !s.Issued || s.DoneAt > now {
-			allResolved = false
+		rt := readyAt(slots, rmask, &subv, &addv, e.VisibleAt, e.Src1)
+		rt = readyAt(slots, rmask, &subv, &addv, rt, e.Src2)
+		if now < rt {
+			if e.IsStore {
+				allIssued = false
+			}
+			if rt < quiet {
+				quiet = rt
+			}
+			continue
 		}
-		if !match && s.Block == e.Block {
-			match = true
-			forwardable = s.Issued && s.DoneAt <= now
+		fwd := false
+		if !e.IsStore {
+			for j := i - 1; j >= 0 && !fwd; j-- {
+				fwd = l.entries[j].IsStore && l.entries[j].Block == e.Block
+			}
 		}
+		e.Issued = true
+		out = append(out, LSQIssue{E: e, Forward: fwd})
+		ports--
 	}
-	return allResolved, match, forwardable
+	if len(out) > n0 {
+		quiet = math.Inf(-1)
+	}
+	return out, quiet
 }
 
 // Retire removes the oldest entry if it matches seq (entries retire in

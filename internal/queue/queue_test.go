@@ -22,6 +22,13 @@ func entry(seq uint64, visibleAt float64) Entry {
 	return Entry{Seq: seq, Src1: None, Src2: None, VisibleAt: visibleAt}
 }
 
+// selectOne runs a single-pipe selection: classes on the first pipe, the
+// second pipe idle.
+func selectOne(q *IssueQueue, max int, classes ClassMask, w *Wakeup) ([]Entry, float64) {
+	out, _, quiet := q.Select(max, classes, 0, 0, w, nil, nil)
+	return out, quiet
+}
+
 func TestIssueQueueCapacity(t *testing.T) {
 	q := NewIssueQueue(2)
 	if !q.Push(Entry{Seq: 1}) || !q.Push(Entry{Seq: 2}) {
@@ -45,7 +52,10 @@ func TestIssueQueueSelectOldestFirst(t *testing.T) {
 		q.Push(entry(i, vis))
 	}
 	// Only even seqs ready; select at most 2: must pick 0 and 2.
-	got := q.SelectReady(2, anyClass, visibleNow(0), nil)
+	got, quiet := selectOne(q, 2, anyClass, visibleNow(0))
+	if !math.IsInf(quiet, -1) {
+		t.Errorf("quiet after selecting = %v, want -Inf", quiet)
+	}
 	if len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 2 {
 		t.Fatalf("selected %+v, want seqs 0,2", got)
 	}
@@ -53,7 +63,7 @@ func TestIssueQueueSelectOldestFirst(t *testing.T) {
 		t.Errorf("len after select = %d, want 4", q.Len())
 	}
 	// Remaining order preserved: 1,3,4,5.
-	rest := q.SelectReady(10, anyClass, visibleNow(math.Inf(1)), nil)
+	rest, _ := selectOne(q, 10, anyClass, visibleNow(math.Inf(1)))
 	want := []uint64{1, 3, 4, 5}
 	for i, e := range rest {
 		if e.Seq != want[i] {
@@ -65,9 +75,19 @@ func TestIssueQueueSelectOldestFirst(t *testing.T) {
 func TestIssueQueueSelectNoneReady(t *testing.T) {
 	q := NewIssueQueue(4)
 	q.Push(entry(9, math.Inf(1)))
-	out := q.SelectReady(4, anyClass, visibleNow(100), nil)
+	out, quiet := selectOne(q, 4, anyClass, visibleNow(100))
 	if len(out) != 0 || q.Len() != 1 {
 		t.Error("nothing should have been selected")
+	}
+	if !math.IsInf(quiet, 1) {
+		t.Errorf("quiet = %v, want +Inf (the entry never becomes visible)", quiet)
+	}
+	q.Push(entry(10, 250))
+	if out, quiet = selectOne(q, 4, anyClass, visibleNow(100)); len(out) != 0 || quiet != 250 {
+		t.Errorf("selected %d, quiet %v; want none until 250", len(out), quiet)
+	}
+	if _, _, quiet = NewIssueQueue(4).Select(4, anyClass, 4, anyClass, visibleNow(0), nil, nil); !math.IsInf(quiet, 1) {
+		t.Errorf("empty queue quiet = %v, want +Inf", quiet)
 	}
 }
 
@@ -80,7 +100,7 @@ func TestIssueQueueSelectClassMask(t *testing.T) {
 		q.Push(e)
 	}
 	mask := MaskOf(workload.IntALU, workload.Branch)
-	got := q.SelectReady(8, mask, visibleNow(0), nil)
+	got, _ := selectOne(q, 8, mask, visibleNow(0))
 	if len(got) != 3 {
 		t.Fatalf("selected %d entries, want 3 (ALU, Branch, ALU)", len(got))
 	}
@@ -92,47 +112,81 @@ func TestIssueQueueSelectClassMask(t *testing.T) {
 	if q.Len() != 1 || q.entries[0].Class != workload.IntMul {
 		t.Errorf("IntMul entry should remain, queue = %+v", q.entries)
 	}
+	// An entry no pipe will take bounds nothing: it stays unselectable
+	// however long the scan waits.
+	if got, quiet := selectOne(q, 8, mask, visibleNow(0)); len(got) != 0 || !math.IsInf(quiet, 1) {
+		t.Errorf("masked-out entry: selected %d, quiet %v; want none, +Inf", len(got), quiet)
+	}
 }
 
+func TestIssueQueueSelectTwoPipes(t *testing.T) {
+	q := NewIssueQueue(8)
+	classes := []workload.Class{workload.IntMul, workload.IntALU, workload.IntMul, workload.Branch, workload.IntALU}
+	for i, c := range classes {
+		e := entry(uint64(i), 0)
+		e.Class = c
+		q.Push(e)
+	}
+	alu, mul, quiet := q.Select(1, MaskOf(workload.IntALU, workload.Branch), 2, MaskOf(workload.IntMul),
+		visibleNow(0), nil, nil)
+	if len(alu) != 1 || alu[0].Seq != 1 || len(mul) != 2 || mul[0].Seq != 0 || mul[1].Seq != 2 {
+		t.Fatalf("pipes selected %+v / %+v, want seq 1 / seqs 0,2", alu, mul)
+	}
+	if !math.IsInf(quiet, -1) || q.Len() != 2 || q.entries[0].Seq != 3 || q.entries[1].Seq != 4 {
+		t.Errorf("quiet %v, rest %+v; want -Inf and seqs 3,4", quiet, q.entries)
+	}
+}
+
+// TestWakeupSrcReadyMatchesVisibilityRule pins the source-visibility
+// rule the scans evaluate, through a one-entry queue whose only pending
+// input is the source under test.
 func TestWakeupSrcReadyMatchesVisibilityRule(t *testing.T) {
 	ring := NewCompletionRing(64)
 	ring.Dispatch(7, 2)
 	ring.Complete(7, 10_000)
 	w := &Wakeup{SyncWindowPS: 300, Periods: [4]float64{1000, 800, 1250, 900}, Ring: ring}
-	w.SetTick(0, 1)
+	// ready reports whether an entry sourcing src is selected at now in
+	// domain dom, and the quiet bound a non-selecting scan reports.
+	ready := func(src int64, now float64, dom uint8) (bool, float64) {
+		q := NewIssueQueue(1)
+		q.Push(Entry{Seq: 60, Src1: src, Src2: None})
+		w.SetTick(now, dom)
+		out, quiet := selectOne(q, 1, anyClass, w)
+		return len(out) == 1, quiet
+	}
 
 	// Absent source: always ready.
-	if !w.SrcReady(None) {
+	if ok, _ := ready(None, 0, 1); !ok {
 		t.Error("absent source not ready")
 	}
 	// Cross-domain (producer 2 → consumer 1): visible at
 	// done − period(producer) + window = 10000 − 1250 + 300 = 9050.
-	w.SetTick(9049.9, 1)
-	if w.SrcReady(7) {
-		t.Error("ready before the synchronization window cleared")
+	if ok, quiet := ready(7, 9049.9, 1); ok || quiet != 9050 {
+		t.Errorf("before the synchronization window cleared: ready %v, quiet %v (want 9050)", ok, quiet)
 	}
-	w.SetTick(9050, 1)
-	if !w.SrcReady(7) {
+	if ok, _ := ready(7, 9050, 1); !ok {
 		t.Error("not ready at the visibility boundary")
 	}
 	// Same-domain: half-cycle guard, done − 0.5×period(producer).
-	w.SetTick(10_000-0.5*1250, 2)
-	if !w.SrcReady(7) {
+	if ok, _ := ready(7, 10_000-0.5*1250, 2); !ok {
 		t.Error("same-domain bypass point not honoured")
 	}
-	w.SetTick(10_000-0.5*1250-0.1, 2)
-	if w.SrcReady(7) {
-		t.Error("ready before the same-domain bypass point")
+	if ok, quiet := ready(7, 10_000-0.5*1250-0.1, 2); ok || quiet != 10_000-0.5*1250 {
+		t.Errorf("before the same-domain bypass point: ready %v, quiet %v", ok, quiet)
 	}
 	// Single clock: the same half-cycle rule regardless of domains.
 	w.SingleClock = true
-	w.SetTick(10_000-0.5*1250, 1)
-	if !w.SrcReady(7) {
+	if ok, _ := ready(7, 10_000-0.5*1250, 1); !ok {
 		t.Error("single-clock bypass point not honoured")
 	}
 	// Never-dispatched producers read as ancient history.
-	if !w.SrcReady(55) {
+	if ok, _ := ready(55, 0, 1); !ok {
 		t.Error("unknown producer should be long complete")
+	}
+	// In-flight producers bound nothing until they complete.
+	ring.Dispatch(8, 1)
+	if ok, quiet := ready(8, 1e12, 2); ok || !math.IsInf(quiet, 1) {
+		t.Errorf("in-flight producer: ready %v, quiet %v; want false, +Inf", ok, quiet)
 	}
 }
 
@@ -258,28 +312,36 @@ func TestROBWraparound(t *testing.T) {
 }
 
 func TestLSQDisambiguation(t *testing.T) {
-	l := NewLSQ(8, 64)
 	inf := math.Inf(1)
-	l.Push(LSQEntry{Seq: 0, IsStore: true, Addr: 0x100, DoneAt: inf})
-	l.Push(LSQEntry{Seq: 1, IsStore: false, Addr: 0x104, DoneAt: inf}) // same block as store 0
-	l.Push(LSQEntry{Seq: 2, IsStore: false, Addr: 0x400, DoneAt: inf})
+	ring := NewCompletionRing(64)
+	ring.Dispatch(9, 1) // the store's address operand, still in flight
+	l := NewLSQ(8, 64)
+	l.Push(LSQEntry{Seq: 10, IsStore: true, Addr: 0x100, Src1: 9, Src2: None, DoneAt: inf})
+	l.Push(LSQEntry{Seq: 11, Addr: 0x104, Src1: None, Src2: None, DoneAt: inf}) // same block as the store
+	l.Push(LSQEntry{Seq: 12, Addr: 0x400, Src1: None, Src2: None, DoneAt: inf})
+	w := &Wakeup{SyncWindowPS: 300, Periods: [4]float64{1000, 1000, 1000, 1000}, Ring: ring}
+	w.SetTick(100, 3)
 
-	// Store 0 not issued: nothing resolved.
-	allRes, match, fwd := l.OlderStores(1, 100)
-	if allRes || !match || fwd {
-		t.Errorf("pre-issue: (%v,%v,%v), want (false,true,false)", allRes, match, fwd)
-	}
-	allRes, match, _ = l.OlderStores(2, 100)
-	if allRes || match {
-		t.Errorf("different block: (%v,%v), want (false,false)", allRes, match)
+	// Store address unknown: loads of either block wait, and nothing
+	// bounds the wait but the store's own operand.
+	got, quiet := l.Select(4, w, nil)
+	if len(got) != 0 || !math.IsInf(quiet, 1) {
+		t.Fatalf("pre-resolve: selected %d, quiet %v; want none, +Inf", len(got), quiet)
 	}
 
-	// Issue + complete the store: load 1 may forward.
-	l.Entries()[0].Issued = true
-	l.Entries()[0].DoneAt = 50
-	allRes, match, fwd = l.OlderStores(1, 100)
-	if !allRes || !match || !fwd {
-		t.Errorf("post-issue: (%v,%v,%v), want (true,true,true)", allRes, match, fwd)
+	// The operand completes (visible at 800 − 1000 + 300 = 100): one
+	// port resolves the store and leaves the loads waiting.
+	ring.Complete(9, 800)
+	got, quiet = l.Select(1, w, nil)
+	if len(got) != 1 || got[0].E.Seq != 10 || !l.entries[0].Issued || !math.IsInf(quiet, -1) {
+		t.Fatalf("resolve: selected %+v, quiet %v; want the store alone, -Inf", got, quiet)
+	}
+
+	// Every older store issued: the same-block load forwards, the other
+	// one goes to the cache.
+	got, _ = l.Select(4, w, nil)
+	if len(got) != 2 || got[0].E.Seq != 11 || !got[0].Forward || got[1].E.Seq != 12 || got[1].Forward {
+		t.Errorf("post-resolve: selected %+v, want 11 forwarded then 12 from the cache", got)
 	}
 }
 
@@ -292,7 +354,7 @@ func TestLSQRetireInOrder(t *testing.T) {
 		t.Error("out-of-order retire removed an entry")
 	}
 	l.Retire(5)
-	if l.Len() != 1 || l.Entries()[0].Seq != 7 {
+	if l.Len() != 1 || l.entries[0].Seq != 7 {
 		t.Error("head retire failed")
 	}
 }
@@ -315,12 +377,12 @@ func TestLSQReset(t *testing.T) {
 		t.Errorf("reset LSQ len/cap = %d/%d, want 0/4", l.Len(), l.Cap())
 	}
 	l.Push(LSQEntry{Seq: 2, Addr: 0x40})
-	if got := l.Entries()[0].Block; got != 0x40>>5 {
+	if got := l.entries[0].Block; got != 0x40>>5 {
 		t.Errorf("block = %#x, want %#x (32-byte granularity)", got, 0x40>>5)
 	}
 }
 
-// Property: SelectReady removes exactly the ready entries (up to max) and
+// Property: Select removes exactly the ready entries (up to max) and
 // preserves relative order of the rest. Readiness is encoded through
 // VisibleAt, the same field the pipeline's dispatch stamps.
 func TestSelectPreservesOrderProperty(t *testing.T) {
@@ -334,7 +396,7 @@ func TestSelectPreservesOrderProperty(t *testing.T) {
 			q.Push(entry(i, vis))
 		}
 		max := int(maxSel % 17)
-		got := q.SelectReady(max, anyClass, visibleNow(0), nil)
+		got, _ := selectOne(q, max, anyClass, visibleNow(0))
 		if len(got) > max {
 			return false
 		}
@@ -345,7 +407,7 @@ func TestSelectPreservesOrderProperty(t *testing.T) {
 			}
 			prev = int64(e.Seq)
 		}
-		rest := q.SelectReady(16, anyClass, visibleNow(math.Inf(1)), nil)
+		rest, _ := selectOne(q, 16, anyClass, visibleNow(math.Inf(1)))
 		prev = -1
 		for _, e := range rest {
 			if int64(e.Seq) <= prev {

@@ -350,6 +350,10 @@ func (m *Manager) execute(runner int, j *Job) {
 		m.failJob(j, err)
 		return
 	}
+	// Persist before publishing: publishing Done wakes WaitResult, and a
+	// crash after a client has seen the result must not lose it.
+	m.journalResult(j, body)
+	m.journalState(j, Done)
 	var finished time.Time
 	var hit bool
 	j.update(func(j *Job) {
@@ -363,13 +367,13 @@ func (m *Manager) execute(runner int, j *Job) {
 	}
 	m.log.Info("job done", "job", j.id, "kind", j.kind, "dur", dur,
 		"cache_hit", hit, "spec_key", j.Key())
-	m.journalResult(j, body)
-	m.journalState(j, Done)
 	m.met.completed.With(string(Done)).Inc()
 }
 
-// failJob marks a job Failed, journals the transition and counts it.
+// failJob journals a job's Failed transition, then publishes it and
+// counts it; as for Done, persisting comes first.
 func (m *Manager) failJob(j *Job, err error) {
+	m.journalState(j, Failed)
 	j.fail(err)
 	if m.tracing() {
 		rec := instantRec("failed", time.Now())
@@ -377,7 +381,6 @@ func (m *Manager) failJob(j *Job, err error) {
 		m.addTrace(j, rec)
 	}
 	m.log.Warn("job failed", "job", j.id, "kind", j.kind, "client", j.client, "error", err)
-	m.journalState(j, Failed)
 	m.met.completed.With(string(Failed)).Inc()
 }
 

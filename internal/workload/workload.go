@@ -175,6 +175,10 @@ type Generator interface {
 	// Next fills in the next instruction, returning false when the
 	// window is exhausted.
 	Next(in *Instr) bool
+	// NextWarm is Next for functional warming: it advances the stream
+	// exactly as Next does, so the two interleave freely, but leaves
+	// Dep1 and Dep2 zero and skips the work of sampling them.
+	NextWarm(in *Instr) bool
 	// Reset restarts the stream from the beginning; the regenerated
 	// stream is identical.
 	Reset()
@@ -314,11 +318,16 @@ func (g *generator) phase() *phaseState {
 	return &g.phases[g.phIdx]
 }
 
-func (g *generator) depDistance(mean float64) uint32 {
+func (g *generator) depDistance(mean float64, sample bool) uint32 {
 	// Geometric distribution with the given mean, clamped to the
 	// completion-ring depth and to the instructions generated so far.
-	p := 1 / mean
+	// Without sample only the draw is made: the stream stays aligned and
+	// the distance is left zero.
 	u := g.rng.Float64()
+	if !sample {
+		return 0
+	}
+	p := 1 / mean
 	d := uint32(1)
 	for u > p && d < MaxDepDistance {
 		u = (u - p) / (1 - p)
@@ -347,7 +356,11 @@ func (g *generator) address(ps *phaseState, isLoad bool) (addr uint64, chased bo
 	return g.dataLo + uint64(g.rng.Int63())%ps.WorkingSet, false
 }
 
-func (g *generator) Next(in *Instr) bool {
+func (g *generator) Next(in *Instr) bool { return g.next(in, true) }
+
+func (g *generator) NextWarm(in *Instr) bool { return g.next(in, false) }
+
+func (g *generator) next(in *Instr, deps bool) bool {
 	if g.seq >= g.window {
 		return false
 	}
@@ -369,9 +382,9 @@ func (g *generator) Next(in *Instr) bool {
 	// Register dependencies.
 	if g.seq > 0 {
 		mean := ps.DepMean
-		in.Dep1 = g.depDistance(mean)
+		in.Dep1 = g.depDistance(mean, deps)
 		if g.rng.Float64() < ps.Dep2Prob {
-			in.Dep2 = g.depDistance(mean)
+			in.Dep2 = g.depDistance(mean, deps)
 		}
 	}
 
@@ -379,7 +392,7 @@ func (g *generator) Next(in *Instr) bool {
 	case Load, Store:
 		addr, chased := g.address(ps, cls == Load)
 		in.Addr = addr
-		if chased && g.lastLd > 0 {
+		if chased && deps && g.lastLd > 0 {
 			d := g.seq - (g.lastLd - 1)
 			if d >= 1 && d <= MaxDepDistance {
 				in.Dep1 = uint32(d)

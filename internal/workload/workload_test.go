@@ -36,16 +36,23 @@ func TestGeneratorDeterministicAcrossReset(t *testing.T) {
 	for g.Next(&in) {
 		first = append(first, in)
 	}
+	// The replay interleaves NextWarm, which must keep the stream
+	// aligned and differ only in leaving the dependencies zero.
 	g.Reset()
-	i := 0
-	for g.Next(&in) {
-		if in != first[i] {
-			t.Fatalf("instruction %d differs after reset: %+v vs %+v", i, in, first[i])
+	for i, want := range first {
+		var ok bool
+		if i%3 == 1 {
+			ok = g.NextWarm(&in)
+			want.Dep1, want.Dep2 = 0, 0
+		} else {
+			ok = g.Next(&in)
 		}
-		i++
+		if !ok || in != want {
+			t.Fatalf("instruction %d differs after reset: %+v vs %+v", i, in, want)
+		}
 	}
-	if i != len(first) {
-		t.Fatalf("replay length %d != original %d", i, len(first))
+	if g.Next(&in) {
+		t.Fatal("replay is longer than the original")
 	}
 }
 
