@@ -11,7 +11,8 @@ package clock
 
 import (
 	"math"
-	"math/rand"
+
+	"mcd/internal/xrand"
 )
 
 // Domain identifies one of the independently clocked processor regions
@@ -67,13 +68,13 @@ type Clock struct {
 	jitPS    float64 // jitter displacement of the pending edge
 	lastPS   float64
 	sigmaPS  float64
-	rng      *rand.Rand
+	rng      *xrand.Counting
 	cycles   uint64
 }
 
 // New returns a clock running at freqMHz whose first edge occurs at
 // startPS. Jitter is disabled when sigmaPS is zero or rng is nil.
-func New(freqMHz, sigmaPS, startPS float64, rng *rand.Rand) *Clock {
+func New(freqMHz, sigmaPS, startPS float64, rng *xrand.Counting) *Clock {
 	c := &Clock{}
 	c.Reset(freqMHz, sigmaPS, startPS, rng)
 	return c
@@ -82,7 +83,7 @@ func New(freqMHz, sigmaPS, startPS float64, rng *rand.Rand) *Clock {
 // Reset reinitializes the clock in place, exactly as New would construct
 // it (the first jitter sample is drawn here, in constructor order), so a
 // reused pipeline core is indistinguishable from a fresh one.
-func (c *Clock) Reset(freqMHz, sigmaPS, startPS float64, rng *rand.Rand) {
+func (c *Clock) Reset(freqMHz, sigmaPS, startPS float64, rng *xrand.Counting) {
 	*c = Clock{
 		periodPS: PeriodPS(freqMHz),
 		basePS:   startPS,
@@ -230,9 +231,6 @@ func (s *Scheduler) Refresh() {
 	}
 }
 
-// Clock returns the clock for domain d.
-func (s *Scheduler) Clock(d Domain) *Clock { return s.clocks[d] }
-
 // SetFrequencyMHz changes domain d's clock frequency (taking effect for
 // the next scheduled period, like Clock.SetFrequencyMHz) and keeps the
 // pending-edge cache coherent.
@@ -262,4 +260,19 @@ func (s *Scheduler) Advance() (Domain, float64) {
 	c.advanceFrom(t)
 	s.next[d] = c.NextEdge()
 	return d, t
+}
+
+// AdvanceBefore consumes domain d's pending edge if it falls before h and
+// returns its time; otherwise it consumes nothing and reports false. It
+// lets a caller walk one domain's edges up to a horizon while the
+// pending-edge cache stays coherent.
+func (s *Scheduler) AdvanceBefore(d Domain, h float64) (float64, bool) {
+	t := s.next[d]
+	if !(t < h) {
+		return t, false
+	}
+	c := s.clocks[d]
+	c.advanceFrom(t)
+	s.next[d] = c.NextEdge()
+	return t, true
 }

@@ -2,9 +2,10 @@ package clock
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mcd/internal/xrand"
 )
 
 func TestPeriodFreqRoundTrip(t *testing.T) {
@@ -67,7 +68,7 @@ func TestClockFrequencyChangeTakesEffectNextPeriod(t *testing.T) {
 }
 
 func TestClockJitterStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	rng := xrand.NewCounting(42)
 	c := New(1000, 110, 0, rng)
 	const n = 20000
 	var sum, sumsq float64
@@ -90,7 +91,7 @@ func TestClockJitterStatistics(t *testing.T) {
 func TestClockJitterDoesNotAccumulate(t *testing.T) {
 	// Per-edge jitter must not random-walk away from the ideal grid:
 	// after many cycles the edge stays within a few sigma of ideal.
-	rng := rand.New(rand.NewSource(9))
+	rng := xrand.NewCounting(9)
 	c := New(1000, 110, 0, rng)
 	var e float64
 	for i := 0; i < 100000; i++ {
@@ -103,7 +104,7 @@ func TestClockJitterDoesNotAccumulate(t *testing.T) {
 }
 
 func TestClockEdgesMonotonic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := xrand.NewCounting(7)
 	c := New(250, 110, 123.5, rng)
 	prev := math.Inf(-1)
 	for i := 0; i < 5000; i++ {
@@ -168,13 +169,59 @@ func TestSchedulerTieBreaksTowardFrontEnd(t *testing.T) {
 	}
 }
 
+// TestSchedulerAdvanceBefore checks that walking each domain's edges up
+// to a horizon, domain by domain, consumes exactly the edges the global
+// earliest-first order consumes before the horizon, at the same times,
+// and leaves the same pending edges behind.
+func TestSchedulerAdvanceBefore(t *testing.T) {
+	build := func() *Scheduler {
+		clocks := make([]*Clock, NumControllable)
+		freqs := []float64{1000, 800, 600, 400}
+		for d := 0; d < NumControllable; d++ {
+			clocks[d] = New(freqs[d], 110, float64(d)*7, xrand.NewCounting(int64(d)+3))
+		}
+		return NewScheduler(clocks)
+	}
+	global, batched := build(), build()
+	for _, h := range []float64{-1, 0, 5000.5, 5000.5, 20000, 123456} {
+		var want [NumControllable][]float64
+		for {
+			d, tm := global.Peek()
+			if !(tm < h) {
+				break
+			}
+			global.Advance()
+			want[d] = append(want[d], tm)
+		}
+		for d := Domain(0); d < NumControllable; d++ {
+			var got []float64
+			for tm, ok := batched.AdvanceBefore(d, h); ok; tm, ok = batched.AdvanceBefore(d, h) {
+				got = append(got, tm)
+			}
+			if len(got) != len(want[d]) {
+				t.Fatalf("h=%v domain %v: consumed %d edges, want %d", h, d, len(got), len(want[d]))
+			}
+			for i := range got {
+				if got[i] != want[d][i] {
+					t.Fatalf("h=%v domain %v edge %d at %v, want %v", h, d, i, got[i], want[d][i])
+				}
+			}
+		}
+		for d := range global.next {
+			if global.next[d] != batched.next[d] || global.clocks[d].State() != batched.clocks[d].State() {
+				t.Fatalf("h=%v domain %d: pending edge %v, want %v", h, d, batched.next[d], global.next[d])
+			}
+		}
+	}
+}
+
 // Property: regardless of frequency and start offset, edges are strictly
 // increasing and the average period converges to the nominal one when
 // jitter is enabled.
 func TestClockPeriodProperty(t *testing.T) {
 	f := func(seed int64, fsel, offset uint8) bool {
 		freq := 250 + float64(fsel)*2.9296875 // spans 250..997 MHz
-		rng := rand.New(rand.NewSource(seed))
+		rng := xrand.NewCounting(seed)
 		c := New(freq, 110, float64(offset), rng)
 		first := c.Advance()
 		prev := first

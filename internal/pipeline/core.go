@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mcd/internal/branch"
 	"mcd/internal/cache"
@@ -63,8 +62,7 @@ type Core struct {
 	sched *clock.Scheduler
 	regs  [clock.NumControllable]*dvfs.Regulator
 	clks  [clock.NumControllable]*clock.Clock
-	jrng  [clock.NumControllable]*rand.Rand
-	jsrc  [clock.NumControllable]*xrand.Counting // jrng's sources, counted so warm snapshots can restore them
+	jsrc  [clock.NumControllable]*xrand.Counting // jitter sources, counted so warm snapshots can restore them
 	last  [clock.NumControllable]float64
 
 	// curFreq mirrors each domain clock's programmed frequency so the
@@ -78,15 +76,19 @@ type Core struct {
 	// wake is the per-tick wakeup context handed to the issue-queue CAM
 	// scans; Periods aliases c.periods and Ring the completion ring.
 	wake queue.Wakeup
-	// quiet holds each exec domain's quiet-until bound: the issue
-	// structure's last scan selected nothing, and none of its entries can
-	// pass the readiness test before this time. Ticks before it skip the
-	// scan. Every readiness input — ring dispatch and completion, queue
-	// push, LSQ retire, a period change, and any bulk state change
+	// quiet holds each domain's quiet-until bound. For an exec domain:
+	// the issue structure's last scan selected nothing, and none of its
+	// entries can pass the readiness test before this time. For the front
+	// end: its last tick retired, emitted, resolved and fetched nothing,
+	// and neither the ROB head nor fetch can move before this time (see
+	// feQuietUntil). Ticks before it skip straight to the idle-cycle
+	// accounting. Every readiness input — ring dispatch and completion,
+	// queue push, LSQ retire, a period change, and any bulk state change
 	// (ShiftTimes, RestoreWarm, Start) — resets the affected bounds to
-	// −Inf through wakeScans. Skipping is exact: the bound is the
-	// scan's own readiness expression, so t < quiet[d] means that scan
-	// would select nothing.
+	// −Inf through wakeScans. Skipping is exact: each bound is the tick's
+	// own comparison operand, so t < quiet[d] means that tick would do
+	// nothing. The minimum over all four is the idle-stretch horizon
+	// (idleStretch).
 	quiet [clock.NumControllable]float64
 
 	meter *power.Meter
@@ -284,19 +286,15 @@ func (c *Core) Start(opts RunOptions) {
 		// start phase aligned; window violations then come from jitter
 		// and inter-domain rate differences, the two penalty sources the
 		// paper's clocking model describes.
-		var jrng *rand.Rand
+		var jrng *xrand.Counting
 		if jitter > 0 {
 			seed := cfg.Seed + int64(d)*7919
-			if c.jrng[d] == nil {
-				// The source is wrapped in a call counter purely so warm
-				// snapshots can capture the jitter stream position; the
-				// wrapper is stream transparent (see xrand).
+			if c.jsrc[d] == nil {
 				c.jsrc[d] = xrand.NewCounting(seed)
-				c.jrng[d] = rand.New(c.jsrc[d])
 			} else {
-				c.jrng[d].Seed(seed)
+				c.jsrc[d].Seed(seed)
 			}
-			jrng = c.jrng[d]
+			jrng = c.jsrc[d]
 		}
 		if c.clks[d] == nil {
 			c.clks[d] = clock.New(c.regs[d].CurrentMHz(), jitter, 0, jrng)
@@ -390,49 +388,152 @@ func (c *Core) StepIntervals(n int) bool {
 			c.fastForwardInterval()
 			continue
 		}
-		d, t := c.sched.Advance()
-		c.now = t
-		dt := t - c.last[d]
-		if dt < 0 {
-			dt = 0
+		if h, ok := c.idleStretch(); ok {
+			c.stepIdle(h)
+			continue
 		}
-		f := c.regs[d].Step(dt)
-		if f != c.curFreq[d] {
-			// Reprogramming the PLL (and refreshing the edge cache) is
-			// only needed when the regulator actually moved; a settled
-			// regulator returns the frequency the clock already runs at.
-			c.curFreq[d] = f
-			c.sched.SetFrequencyMHz(d, f)
-			c.periods[d] = c.clks[d].PeriodPS()
-			c.wake.Periods[d] = c.periods[d]
-			c.wakeScans()
-		}
-		c.freqIntegral[d] += f * dt
-		c.last[d] = t
-
-		switch d {
-		case clock.FrontEnd:
-			c.feTick(t)
-		case clock.Integer:
-			c.intTick(t)
-		case clock.FloatingPoint:
-			c.fpTick(t)
-		case clock.LoadStore:
-			c.lsTick(t)
-		}
-
-		if t-c.lastRetire > 5e8 && c.retired > 0 {
-			panic(fmt.Sprintf("pipeline: no retirement for 0.5 ms at t=%.0f ps (retired %d/%d, rob=%d iiq=%d fiq=%d lsq=%d)",
-				t, c.retired, c.total, c.rob.Len(), c.iiq.Len(), c.fiq.Len(), c.lsq.Len()))
-		}
-		if c.genDone && c.rob.Len() == 0 {
-			c.halted = true // workload shorter than the window
-		}
+		c.stepEdge()
 	}
 	if c.retired >= c.total {
 		c.halted = true
 	}
 	return !c.halted
+}
+
+// stepEdge consumes the earliest pending clock edge: the domain's
+// regulator steps, its frequency integral accrues, and its tick runs.
+func (c *Core) stepEdge() {
+	d, t := c.sched.Advance()
+	c.now = t
+	dt := t - c.last[d]
+	if dt < 0 {
+		dt = 0
+	}
+	f := c.regs[d].Step(dt)
+	if f != c.curFreq[d] {
+		// Reprogramming the PLL (and refreshing the edge cache) is
+		// only needed when the regulator actually moved; a settled
+		// regulator returns the frequency the clock already runs at.
+		c.curFreq[d] = f
+		c.sched.SetFrequencyMHz(d, f)
+		c.periods[d] = c.clks[d].PeriodPS()
+		c.wake.Periods[d] = c.periods[d]
+		c.wakeScans()
+	}
+	c.freqIntegral[d] += f * dt
+	c.last[d] = t
+
+	switch d {
+	case clock.FrontEnd:
+		c.feTick(t)
+	case clock.Integer:
+		c.intTick(t)
+	case clock.FloatingPoint:
+		c.fpTick(t)
+	case clock.LoadStore:
+		c.lsTick(t)
+	}
+	c.settle(t)
+}
+
+// idleStretch reports whether the next pending edge opens an idle
+// stretch, and returns the stretch's horizon H. Every domain is quiet
+// before H (H is the least quiet-until bound), so every edge before H
+// only does its domain's idle-cycle accounting. A domain whose regulator
+// still has to move (slewing, or not yet programmed into its clock) caps
+// H at its pending edge, because that edge changes a period — a
+// readiness input — and so must run through stepEdge. No stretch opens
+// while a fast-forward is pending or an interval boundary is due: both
+// are front-end work. H never passes the no-retirement watchdog's
+// deadline, so a machine that can no longer make progress still stops
+// there, edge by edge, instead of stretching forever.
+func (c *Core) idleStretch() (float64, bool) {
+	h := c.lastRetire + stallPS
+	for _, q := range c.quiet {
+		if q < h {
+			h = q
+		}
+	}
+	if h <= c.now || c.skipPending > 0 || c.retired >= c.nextIvAt {
+		return h, false
+	}
+	for d, r := range c.regs {
+		if r.Transitioning() || r.CurrentMHz() != c.curFreq[d] {
+			if e := c.clks[d].NextEdge(); e < h {
+				h = e
+			}
+		}
+	}
+	_, t := c.sched.Peek()
+	return h, t < h
+}
+
+// stepIdle consumes every pending edge before the horizon h (see
+// idleStretch), domain by domain. Each edge does exactly what stepEdge
+// would do for it: the same jitter draw, a settled regulator's unchanged
+// frequency into the frequency integral, and the domain's idle-cycle
+// accounting. This is exact because everything an idle edge touches is
+// local to its domain — its clock, jitter source, accumulators and meter
+// entries — so only the interleaving across domains changes, and every
+// domain's own edges keep their order.
+func (c *Core) stepIdle(h float64) {
+	last := math.Inf(-1)
+	for d := clock.Domain(0); d < clock.NumControllable; d++ {
+		t, ok := c.sched.AdvanceBefore(d, h)
+		if !ok {
+			continue
+		}
+		f, v := c.curFreq[d], c.regs[d].Voltage()
+		cam, occ := power.Component(0), 0
+		switch d {
+		case clock.Integer:
+			cam, occ = power.IntCAM, c.iiq.Len()
+		case clock.FloatingPoint:
+			cam, occ = power.FPCAM, c.fiq.Len()
+		case clock.LoadStore:
+			cam, occ = power.LSQCAM, c.lsq.Len()
+		}
+		for ; ok; t, ok = c.sched.AdvanceBefore(d, h) {
+			dt := t - c.last[d]
+			if dt < 0 {
+				dt = 0
+			}
+			c.freqIntegral[d] += f * dt
+			c.last[d] = t
+			if d == clock.FrontEnd {
+				c.meter.ClockTick(d, v, false)
+				continue
+			}
+			c.chargeOccupancy(d, cam, v, occ)
+			c.meter.ClockTick(d, v, occ > 0)
+		}
+		if c.last[d] > last {
+			last = c.last[d]
+		}
+	}
+	c.now = last
+	c.settle(last)
+}
+
+// stallPS is the no-retirement watchdog's limit: 0.5 ms of simulated
+// time without a retirement means the model deadlocked.
+const stallPS = 5e8
+
+// settle runs the end-of-edge checks: the no-retirement watchdog and
+// workload exhaustion.
+func (c *Core) settle(t float64) {
+	if t-c.lastRetire > stallPS && c.retired > 0 {
+		c.stalled(t)
+	}
+	if c.genDone && c.rob.Len() == 0 {
+		c.halted = true // workload shorter than the window
+	}
+}
+
+// stalled reports a deadlocked model.
+func (c *Core) stalled(t float64) {
+	panic(fmt.Sprintf("pipeline: no retirement for 0.5 ms at t=%.0f ps (retired %d/%d, rob=%d iiq=%d fiq=%d lsq=%d)",
+		t, c.retired, c.total, c.rob.Len(), c.iiq.Len(), c.fiq.Len(), c.lsq.Len()))
 }
 
 // Halt stops the run at the current loop boundary: subsequent
@@ -571,7 +672,12 @@ func src(seq uint64, dist uint32) int64 {
 
 func (c *Core) feTick(t float64) {
 	v := c.regs[clock.FrontEnd].Voltage()
+	if t < c.quiet[clock.FrontEnd] {
+		c.meter.ClockTick(clock.FrontEnd, v, false)
+		return
+	}
 	active := false
+	emitted := c.emitted
 
 	// Retire in order, up to RetireWidth, as results become visible to the
 	// front end (the ROB lives there).
@@ -607,22 +713,56 @@ func (c *Core) feTick(t float64) {
 
 	// Resolve an outstanding mispredicted branch: fetch resumes a fixed
 	// penalty after the resolution becomes visible in the front end.
-	if c.branchSeq >= 0 {
-		done, dom := c.ring.Lookup(uint64(c.branchSeq))
-		if !math.IsInf(done, 1) {
-			resume := c.xvisible(done, clock.Domain(dom), clock.FrontEnd) +
-				float64(c.cfg.MispredictPenalty)*c.periods[clock.FrontEnd]
-			if t >= resume {
-				c.branchSeq = -1
-			}
-		}
+	resolved := c.branchSeq >= 0 && t >= c.branchResume()
+	if resolved {
+		c.branchSeq = -1
 	}
 
+	blk, stall := c.fetchBlock, c.fetchStall
 	if c.branchSeq < 0 && t >= c.fetchStall {
 		c.fetch(t, v, &active)
 	}
 
 	c.meter.ClockTick(clock.FrontEnd, v, active)
+	if !active && !resolved && c.emitted == emitted && c.fetchBlock == blk && c.fetchStall == stall {
+		c.quiet[clock.FrontEnd] = c.feQuietUntil(t)
+	}
+}
+
+// branchResume returns the time fetch resumes after the outstanding
+// mispredicted branch: +Inf while the branch is in flight.
+func (c *Core) branchResume() float64 {
+	done, dom := c.ring.Lookup(uint64(c.branchSeq))
+	if math.IsInf(done, 1) {
+		return done
+	}
+	return c.xvisible(done, clock.Domain(dom), clock.FrontEnd) +
+		float64(c.cfg.MispredictPenalty)*c.periods[clock.FrontEnd]
+}
+
+// feQuietUntil returns the front end's quiet-until bound after a tick at
+// t that changed nothing but its clock accounting: the earliest time the
+// ROB head can retire (+Inf for an empty ROB or an in-flight head), or
+// fetch can act — the mispredict's resume time, else the I-cache fill
+// stall; a fetch that was attempted and consumed nothing is blocked
+// structurally or by workload exhaustion, which only a readiness input
+// (wakeScans) or the front end's own retirement can change. These are the
+// operands feTick compares t against, so the bound is exact.
+func (c *Core) feQuietUntil(t float64) float64 {
+	q := math.Inf(1)
+	if h := c.rob.Head(); h != nil {
+		q = c.xvisible(h.DoneAt, clock.Domain(h.Domain), clock.FrontEnd)
+	}
+	fetchAt := math.Inf(1)
+	if c.branchSeq >= 0 {
+		fetchAt = c.branchResume()
+	} else if t < c.fetchStall {
+		fetchAt = c.fetchStall
+	}
+	if fetchAt < q {
+		q = fetchAt
+	}
+	return q
 }
 
 func (c *Core) fetch(t float64, v float64, active *bool) {
@@ -748,9 +888,7 @@ func (c *Core) intTick(t float64) {
 	v := c.regs[d].Voltage()
 	period := c.periods[d]
 	occ := c.iiq.Len()
-	c.occupSum[d] += float64(occ)
-	c.ivTicks[d]++
-	c.meter.Access(power.IntCAM, v, occ)
+	c.chargeOccupancy(d, power.IntCAM, v, occ)
 	if t < c.quiet[d] {
 		c.meter.ClockTick(d, v, occ > 0)
 		return
@@ -780,6 +918,14 @@ func (c *Core) intTick(t float64) {
 	c.meter.ClockTick(d, v, issued > 0 || occ > 0)
 }
 
+// chargeOccupancy accounts one edge of an exec domain's issue-structure
+// occupancy: the interval occupancy sums and the per-entry CAM energy.
+func (c *Core) chargeOccupancy(d clock.Domain, cam power.Component, v float64, occ int) {
+	c.occupSum[d] += float64(occ)
+	c.ivTicks[d]++
+	c.meter.Access(cam, v, occ)
+}
+
 // chargeIssue accounts the energy of issuing one instruction: issue-queue
 // access, register-file reads for present sources, the functional-unit
 // operation, and the result write (when the instruction produces one).
@@ -806,9 +952,7 @@ func (c *Core) fpTick(t float64) {
 	v := c.regs[d].Voltage()
 	period := c.periods[d]
 	occ := c.fiq.Len()
-	c.occupSum[d] += float64(occ)
-	c.ivTicks[d]++
-	c.meter.Access(power.FPCAM, v, occ)
+	c.chargeOccupancy(d, power.FPCAM, v, occ)
 	if t < c.quiet[d] {
 		c.meter.ClockTick(d, v, occ > 0)
 		return
@@ -845,9 +989,7 @@ func (c *Core) lsTick(t float64) {
 	v := c.regs[d].Voltage()
 	period := c.periods[d]
 	occ := c.lsq.Len()
-	c.occupSum[d] += float64(occ)
-	c.ivTicks[d]++
-	c.meter.Access(power.LSQCAM, v, occ)
+	c.chargeOccupancy(d, power.LSQCAM, v, occ)
 	if t < c.quiet[d] {
 		c.meter.ClockTick(d, v, occ > 0)
 		return

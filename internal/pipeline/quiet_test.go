@@ -56,37 +56,9 @@ func quietViolation(c *Core) error {
 // bounds), in both clocking modes and with a sampled run's fast-forward
 // and warm restore in the mix.
 func TestQuietBoundHoldsInRun(t *testing.T) {
-	memProfile := func(seed int64) workload.Profile {
-		return workload.Profile{
-			Name: "mem-test", Seed: seed,
-			Phases: []workload.Phase{{
-				Mix:        workload.Mix{IntALU: 0.35, IntMul: 0.05, FPAdd: 0.1, FPMul: 0.05, Load: 0.3, Store: 0.1, Branch: 0.05},
-				WorkingSet: 4 << 20, StrideFrac: 0.2,
-			}},
-		}
-	}
-	cases := []struct {
-		name   string
-		prof   workload.Profile
-		single bool
-		sample int
-	}{
-		{"int", intProfile(5), false, 0},
-		{"fp", fpProfile(6), false, 0},
-		{"mem", memProfile(7), false, 0},
-		{"mem-sync", memProfile(8), true, 0},
-		{"mem-sampled", memProfile(9), false, 4},
-	}
-	for _, tc := range cases {
+	for _, tc := range runCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			flip := false
-			ctrl := controllerFunc{name: "flip", fn: func(IntervalView) [clock.NumControllable]float64 {
-				flip = !flip
-				if flip {
-					return [clock.NumControllable]float64{0, 300, 350, 400}
-				}
-				return [clock.NumControllable]float64{0, 1000, 1000, 1000}
-			}}
+			ctrl := flipController()
 			cfg := DefaultConfig()
 			cfg.SingleClock = tc.single
 			c := New(cfg, tc.prof.NewGenerator(40_000))
@@ -110,4 +82,49 @@ func TestQuietBoundHoldsInRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runCase is one in-run invariant scenario: a workload, a clocking mode
+// and a sampling cadence, run under flipController.
+type runCase struct {
+	name   string
+	prof   workload.Profile
+	single bool
+	sample int
+}
+
+// runCases covers every tick path: integer, FP and memory-bound mixes,
+// the fully synchronous clock, and a sampled run's fast-forward and warm
+// restore.
+func runCases() []runCase {
+	memProfile := func(seed int64) workload.Profile {
+		return workload.Profile{
+			Name: "mem-test", Seed: seed,
+			Phases: []workload.Phase{{
+				Mix:        workload.Mix{IntALU: 0.35, IntMul: 0.05, FPAdd: 0.1, FPMul: 0.05, Load: 0.3, Store: 0.1, Branch: 0.05},
+				WorkingSet: 4 << 20, StrideFrac: 0.2,
+			}},
+		}
+	}
+	return []runCase{
+		{"int", intProfile(5), false, 0},
+		{"fp", fpProfile(6), false, 0},
+		{"mem", memProfile(7), false, 0},
+		{"mem-sync", memProfile(8), true, 0},
+		{"mem-sampled", memProfile(9), false, 4},
+	}
+}
+
+// flipController alternates every interval between slow and full-speed
+// targets, so the regulators keep slewing and periods move under
+// standing bounds.
+func flipController() Controller {
+	flip := false
+	return controllerFunc{name: "flip", fn: func(IntervalView) [clock.NumControllable]float64 {
+		flip = !flip
+		if flip {
+			return [clock.NumControllable]float64{0, 300, 350, 400}
+		}
+		return [clock.NumControllable]float64{0, 1000, 1000, 1000}
+	}}
 }

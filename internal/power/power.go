@@ -131,7 +131,6 @@ type Meter struct {
 	params   Params
 	mcd      bool
 	domainPJ [clock.NumDomains]float64
-	clockPJ  float64
 	clockDom [clock.NumControllable]float64
 	accesses [NumComponents]uint64
 	byComp   [NumComponents]float64
@@ -193,7 +192,6 @@ func (m *Meter) ClockTick(d clock.Domain, v float64, active bool) {
 		e *= m.params.MCDClockFactor
 	}
 	m.domainPJ[d] += e
-	m.clockPJ += e
 	m.clockDom[d] += e
 }
 
@@ -216,9 +214,6 @@ func (m *Meter) TotalPJ() float64 {
 
 // DomainPJ returns the energy accumulated by one domain.
 func (m *Meter) DomainPJ(d clock.Domain) float64 { return m.domainPJ[d] }
-
-// ClockPJ returns the clock-distribution share of the total energy.
-func (m *Meter) ClockPJ() float64 { return m.clockPJ }
 
 // DomainClockPJ returns one controllable domain's clock-distribution
 // energy — the time-proportional part of DomainPJ(d), which the sampled

@@ -48,9 +48,9 @@ func TestClockGating(t *testing.T) {
 	p := DefaultParams()
 	m := NewMeter(p, false)
 	m.ClockTick(clock.FloatingPoint, 1.2, true)
-	active := m.ClockPJ()
+	active := m.DomainClockPJ(clock.FloatingPoint)
 	m.ClockTick(clock.FloatingPoint, 1.2, false)
-	idle := m.ClockPJ() - active
+	idle := m.DomainClockPJ(clock.FloatingPoint) - active
 	if want := active * p.GatedFraction; math.Abs(idle-want) > 1e-9 {
 		t.Errorf("idle cycle = %v pJ, want %v (gated fraction %v)", idle, want, p.GatedFraction)
 	}
@@ -64,7 +64,7 @@ func TestMCDClockOverhead(t *testing.T) {
 		sync.ClockTick(clock.Integer, 1.2, true)
 		mcd.ClockTick(clock.Integer, 1.2, true)
 	}
-	ratio := mcd.ClockPJ() / sync.ClockPJ()
+	ratio := mcd.DomainClockPJ(clock.Integer) / sync.DomainClockPJ(clock.Integer)
 	if math.Abs(ratio-p.MCDClockFactor) > 1e-9 {
 		t.Errorf("MCD clock overhead ratio = %v, want %v", ratio, p.MCDClockFactor)
 	}

@@ -13,11 +13,7 @@
 // binary or from a trace.
 package workload
 
-import (
-	"math/rand"
-
-	"mcd/internal/xrand"
-)
+import "mcd/internal/xrand"
 
 // Class categorizes an instruction by the resource that executes it.
 type Class uint8
@@ -206,8 +202,7 @@ type phaseState struct {
 type generator struct {
 	prof    Profile
 	window  uint64
-	rng     *rand.Rand
-	src     *xrand.Counting // rng's source; counted so state is checkpointable
+	rng     *xrand.Counting // counted so state is checkpointable (see xrand)
 	seq     uint64
 	phases  []phaseState
 	phIdx   int
@@ -223,13 +218,10 @@ func (g *generator) Window() uint64 { return g.window }
 func (g *generator) Reset() {
 	seed := g.prof.Seed ^ 0x5eed
 	if g.rng == nil {
-		// The counting wrapper is stream-transparent; it exists so
-		// Checkpoint can capture the rng position (see xrand).
-		g.src = xrand.NewCounting(seed)
-		g.rng = rand.New(g.src)
+		g.rng = xrand.NewCounting(seed)
 	} else {
-		// Re-seeding restores the exact state rand.New(NewSource(seed))
-		// constructs, without reallocating the source's state table.
+		// Re-seeding restores the exact state NewCounting constructs,
+		// without reallocating the source.
 		g.rng.Seed(seed)
 	}
 	g.seq = 0
@@ -462,7 +454,7 @@ func (g *generator) Checkpoint() GenState {
 		PC:       g.pc,
 		LastLd:   g.lastLd,
 		Streams:  g.streams,
-		RngCalls: g.src.Calls(),
+		RngCalls: g.rng.Calls(),
 		Counters: make([][]uint16, len(g.phases)),
 	}
 	for i := range g.phases {
@@ -482,7 +474,7 @@ func (g *generator) Restore(s GenState) {
 	g.pc = s.PC
 	g.lastLd = s.LastLd
 	g.streams = s.Streams
-	g.src.Restore(g.prof.Seed^0x5eed, s.RngCalls)
+	g.rng.Restore(g.prof.Seed^0x5eed, s.RngCalls)
 	for i := range g.phases {
 		if i < len(s.Counters) {
 			copy(g.phases[i].counters, s.Counters[i])

@@ -1,60 +1,159 @@
-// Package xrand wraps math/rand sources with a call counter so their
-// position in the stream can be captured and restored. math/rand's
-// rngSource has no exported state, but it is a pure function of (seed,
-// number of source calls): every Int63/Uint64 advances the feedback
-// register exactly once. Counting source calls therefore captures the
-// complete generator state in one uint64, and restoring is reseed +
-// discard — cheap relative to simulation, allocation-free, and exact.
+// Package xrand is the simulator's counted random source: a concrete
+// additive lagged-Fibonacci generator that reproduces math/rand's
+// rand.New(rand.NewSource(seed)) stream bit for bit, with the
+// (*rand.Rand) methods the model calls implemented directly on it, so the
+// per-edge jitter draw and the workload generator's draws are direct
+// calls instead of a rand.Rand → rand.Source interface chain.
 //
-// The wrapper is transparent: rand.Rand draws the same stream through a
-// Counting source as through the bare rand.NewSource, so wrapping an
-// existing generator changes no simulation output (the byte-identity
-// pins cover this).
+// The generator is a pure function of (seed, number of source advances):
+// every Int63/Uint64 advances the feedback register exactly once, and
+// every higher-level draw is built from those. Counting advances
+// therefore captures the complete generator state in one uint64, and
+// restoring is reseed + discard — cheap relative to simulation,
+// allocation-free, and exact.
+//
+// Seeding needs math/rand's secret seeding table (rngCooked). Instead of
+// copying it, Seed runs the standard library's own seeding, reads the
+// first lfLen outputs, and inverts the recurrence
+// x[n] = x[n−lfLen] + x[n−lfTap] to recover the register the standard
+// source holds right after seeding.
 package xrand
 
 import "math/rand"
 
-// Counting is a rand.Source64 that counts how many times the underlying
-// source has been advanced since the last Seed.
+const (
+	lfLen  = 607 // register length (math/rand's rngLen)
+	lfTap  = 273 // feedback tap (math/rand's rngTap)
+	lfMask = 1<<63 - 1
+)
+
+// Counting is a counted, concrete equivalent of
+// rand.New(rand.NewSource(seed)). It also implements rand.Source64.
 type Counting struct {
-	src rand.Source64
-	n   uint64
+	// vec is the register as a ring: vec[pos] holds x[n−lfLen] for the
+	// next output x[n], and vec[tap] holds x[n−lfTap].
+	vec      [lfLen]uint64
+	pos, tap int
+	n        uint64
+	// seeder is the standard-library source Seed derives the register
+	// from; kept so reseeding allocates nothing.
+	seeder rand.Source64
 }
 
-// NewCounting returns a counting wrapper over rand.NewSource(seed).
+// NewCounting returns a source positioned at the start of seed's stream.
 func NewCounting(seed int64) *Counting {
-	return &Counting{src: rand.NewSource(seed).(rand.Source64)}
+	c := &Counting{seeder: rand.NewSource(seed).(rand.Source64)}
+	c.load()
+	return c
 }
 
-// Int63 implements rand.Source.
-func (c *Counting) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-// Uint64 implements rand.Source64.
-func (c *Counting) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
-
-// Seed implements rand.Source, resetting the call counter.
+// Seed resets the source to the start of seed's stream, as a fresh
+// NewCounting(seed) would be, and resets the call counter.
 func (c *Counting) Seed(seed int64) {
+	c.seeder.Seed(seed)
+	c.load()
+}
+
+// load reads the first lfLen outputs of the freshly seeded standard
+// source and runs the recurrence backwards to the seeded register:
+// x[n−lfLen] = x[n] − x[n−lfTap], first for n ≥ lfTap (both operands
+// are outputs), then for n < lfTap (x[n−lfTap] is a register value the
+// first pass recovered). Register value x[k], k < 0, lives at vec[k+lfLen].
+func (c *Counting) load() {
+	var out [lfLen]uint64
+	for i := range out {
+		out[i] = c.seeder.Uint64()
+	}
+	for n := lfTap; n < lfLen; n++ {
+		c.vec[n] = out[n] - out[n-lfTap]
+	}
+	for n := 0; n < lfTap; n++ {
+		c.vec[n] = out[n] - c.vec[n+lfLen-lfTap]
+	}
+	c.pos, c.tap = 0, lfLen-lfTap
 	c.n = 0
-	c.src.Seed(seed)
+}
+
+// Uint64 implements rand.Source64: one advance of the register.
+func (c *Counting) Uint64() uint64 {
+	x := c.vec[c.pos] + c.vec[c.tap]
+	c.vec[c.pos] = x
+	if c.pos++; c.pos == lfLen {
+		c.pos = 0
+	}
+	if c.tap++; c.tap == lfLen {
+		c.tap = 0
+	}
+	c.n++
+	return x
+}
+
+// Int63 implements rand.Source: a non-negative 63-bit integer.
+func (c *Counting) Int63() int64 { return int64(c.Uint64() & lfMask) }
+
+// u32 is (*rand.Rand).Uint32.
+func (c *Counting) u32() uint32 { return uint32(c.Int63() >> 31) }
+
+// int31 is (*rand.Rand).Int31.
+func (c *Counting) int31() int32 { return int32(c.Int63() >> 32) }
+
+// int63n is (*rand.Rand).Int63n for n > 0.
+func (c *Counting) int63n(n int64) int64 {
+	if n&(n-1) == 0 { // n is power of two, can mask
+		return c.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := c.Int63()
+	for v > max {
+		v = c.Int63()
+	}
+	return v % n
+}
+
+// int31n is (*rand.Rand).Int31n for n > 0.
+func (c *Counting) int31n(n int32) int32 {
+	if n&(n-1) == 0 { // n is power of two, can mask
+		return c.int31() & (n - 1)
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := c.int31()
+	for v > max {
+		v = c.int31()
+	}
+	return v % n
+}
+
+// Intn returns a value in [0,n), as (*rand.Rand).Intn. It panics if
+// n <= 0.
+func (c *Counting) Intn(n int) int {
+	if n <= 0 {
+		panic("xrand: invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return int(c.int31n(int32(n)))
+	}
+	return int(c.int63n(int64(n)))
+}
+
+// Float64 returns a value in [0.0,1.0), as (*rand.Rand).Float64 (which
+// redraws the 2⁻⁵³-rare value that rounds up to 1).
+func (c *Counting) Float64() float64 {
+again:
+	f := float64(c.Int63()) / (1 << 63)
+	if f == 1 {
+		goto again
+	}
+	return f
 }
 
 // Calls returns how many times the source has advanced since Seed.
 func (c *Counting) Calls() uint64 { return c.n }
 
-// Restore reseeds and replays n source advances, leaving the wrapper in
-// exactly the state Calls()==n captured. Both Int63 and Uint64 advance
-// the underlying register once per call, so replaying with either is
-// equivalent; Uint64 is used.
+// Restore reseeds and replays n source advances, leaving the source in
+// exactly the state Calls()==n captured.
 func (c *Counting) Restore(seed int64, n uint64) {
-	c.src.Seed(seed)
+	c.Seed(seed)
 	for i := uint64(0); i < n; i++ {
-		c.src.Uint64()
+		c.Uint64()
 	}
-	c.n = n
 }
