@@ -150,8 +150,9 @@ func (c *Clock) PeriodPS() float64 { return c.periodPS }
 func (c *Clock) Cycles() uint64 { return c.cycles }
 
 // State is a snapshot of a clock's mutable fields — everything except
-// the jitter sigma and rng, which are fixed at Reset and restored by the
-// owner (the pipeline core keeps the jitter rng positions separately).
+// the jitter sigma and rng, which are fixed at Reset. The rng belongs to
+// the owner, which saves its stream position itself (the pipeline core
+// copies each jitter source's xrand.State into its warm snapshot).
 type State struct {
 	PeriodPS float64
 	BasePS   float64

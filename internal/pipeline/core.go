@@ -62,19 +62,12 @@ type Core struct {
 	sched *clock.Scheduler
 	regs  [clock.NumControllable]*dvfs.Regulator
 	clks  [clock.NumControllable]*clock.Clock
-	jsrc  [clock.NumControllable]*xrand.Counting // jitter sources, counted so warm snapshots can restore them
-	last  [clock.NumControllable]float64
+	jsrc  [clock.NumControllable]*xrand.Counting // jitter sources; warm snapshots copy their states
 
-	// curFreq mirrors each domain clock's programmed frequency so the
-	// per-edge regulator step only reprograms the clock (a division plus
-	// an edge-cache refresh) when the frequency actually moved.
-	curFreq [clock.NumControllable]float64
-	// periods mirrors each domain clock's current period; every
-	// visibility test reads it instead of chasing clock pointers. It is
-	// the same float64 the clock holds, so results are unchanged.
-	periods [clock.NumControllable]float64
 	// wake is the per-tick wakeup context handed to the issue-queue CAM
-	// scans; Periods aliases c.periods and Ring the completion ring.
+	// scans. Periods holds each domain clock's current period — the same
+	// float64 the clock holds, so every visibility test reads it instead
+	// of chasing clock pointers — and Ring is the completion ring.
 	wake queue.Wakeup
 	// quiet holds each domain's quiet-until bound. For an exec domain:
 	// the issue structure's last scan selected nothing, and none of its
@@ -101,6 +94,37 @@ type Core struct {
 	rob  *queue.ROB
 	ring *queue.CompletionRing
 
+	// Stepping state: Run is Start + StepIntervals(-1) + Finish, and the
+	// session API (internal/sim.Session) drives the same three entry
+	// points interval by interval.
+	total  uint64 // retire target (warmup + window)
+	halted bool   // the loop can no longer advance (done, exhausted, or Halt)
+
+	runState
+
+	selBuf  []queue.Entry
+	selBuf2 []queue.Entry
+	lsBuf   []queue.LSQIssue
+
+	intervals []stats.Interval
+}
+
+// runState is the part of a core's run state that is plain data: every
+// field is a scalar, an array, or a struct of those, so assigning the
+// value copies all of it (TestRunStateIsPlainData guards this). Reset
+// assigns freshRunState, and a warm snapshot captures and restores the
+// run with one assignment each way. Object references — components, the
+// wakeup context, quiet bounds, scratch buffers — stay in Core with
+// their own Clone/CopyFrom handling. Core embeds it, so the hot loop
+// reads c.retired and the rest directly.
+type runState struct {
+	last [clock.NumControllable]float64
+
+	// curFreq mirrors each domain clock's programmed frequency so the
+	// per-edge regulator step only reprograms the clock (a division plus
+	// an edge-cache refresh) when the frequency actually moved.
+	curFreq [clock.NumControllable]float64
+
 	intRegsFree int
 	fpRegsFree  int
 
@@ -113,14 +137,8 @@ type Core struct {
 
 	retired    uint64
 	lastRetire float64
-
-	// Stepping state: Run is Start + StepIntervals(-1) + Finish, and the
-	// session API (internal/sim.Session) drives the same three entry
-	// points interval by interval.
-	total   uint64  // retire target (warmup + window)
-	now     float64 // current simulated time
-	emitted int     // control intervals emitted since Start (warmup included)
-	halted  bool    // the loop can no longer advance (done, exhausted, or Halt)
+	now        float64 // current simulated time
+	emitted    int     // control intervals emitted since Start (warmup included)
 
 	// Warmup bookkeeping: measurement starts at the mark.
 	marked     bool
@@ -171,24 +189,20 @@ type Core struct {
 	stretchPenSum float64
 	stretchPenN   int
 	// walkS/walkOff memoize the sampling-offset random walk (a pure
-	// function of the stratum index; see sampleOffset). Not part of a
-	// warm snapshot: a restored core replays the walk from scratch.
+	// function of the stratum index; see sampleOffset), so a warm
+	// snapshot may carry them along without changing any result.
 	walkS   int
 	walkOff int
-
-	selBuf  []queue.Entry
-	selBuf2 []queue.Entry
-	lsBuf   []queue.LSQIssue
-
-	intervals []stats.Interval
 }
+
+// freshRunState is the run state of a newly constructed core. The
+// sentinels: branchSeq −1 is "no unresolved mispredict", walkS −1 the
+// sampling walk's "not started" (see sampleOffset).
+func freshRunState() runState { return runState{branchSeq: -1, walkS: -1} }
 
 // New builds a core over the given workload generator.
 func New(cfg Config, gen workload.Generator) *Core {
-	// walkS = -1 is the sampling-walk "not started" sentinel (see
-	// sampleOffset); Reset sets the same value so New and Reset cores
-	// schedule identical sample grids.
-	return &Core{cfg: cfg, gen: gen, branchSeq: -1, walkS: -1}
+	return &Core{cfg: cfg, gen: gen, runState: freshRunState()}
 }
 
 // Reset recycles a finished core for a new run over cfg and gen: all run
@@ -200,35 +214,9 @@ func New(cfg Config, gen workload.Generator) *Core {
 func (c *Core) Reset(cfg Config, gen workload.Generator) {
 	c.cfg, c.gen = cfg, gen
 	c.opts = RunOptions{}
-	c.last = [clock.NumControllable]float64{}
-	c.pending = workload.Instr{}
-	c.havePend, c.genDone = false, false
-	c.fetchStall = 0
-	c.branchSeq = -1
-	c.fetchBlock = 0
-	c.retired, c.lastRetire = 0, 0
 	c.total = 0
-	c.now = 0
-	c.emitted = 0
 	c.halted = false
-	c.marked, c.markTime = false, 0
-	c.markEnergy = [clock.NumDomains]float64{}
-	c.ivStart, c.ivIndex = 0, 0
-	c.occupSum = [clock.NumControllable]float64{}
-	c.ivTicks = [clock.NumControllable]float64{}
-	c.nextIvAt = 0
-	c.freqIntegral = [clock.NumControllable]float64{}
-	c.skipPending = 0
-	c.detail = detailModel{}
-	c.ivStartEnergy = [clock.NumControllable]float64{}
-	c.ivStartEv = [3]uint64{}
-	c.ivStartClkPJ = [clock.NumControllable]float64{}
-	c.errCPI, c.errEPI = errAcc{}, errAcc{}
-	c.detailedIv, c.sampledIv = 0, 0
-	c.ctrlPrev = [clock.NumControllable]float64{}
-	c.ctrlQuiet = 0
-	c.stretchPenSum, c.stretchPenN = 0, 0
-	c.walkS, c.walkOff = -1, 0
+	c.runState = freshRunState()
 	// The previous Result owns the recorded intervals; never reuse them.
 	c.intervals = nil
 }
@@ -272,6 +260,7 @@ func (c *Core) Start(opts RunOptions) {
 	if cfg.SingleClock {
 		jitter = 0
 	}
+	var periods [clock.NumControllable]float64
 	for d := 0; d < clock.NumControllable; d++ {
 		f := opts.InitialFreqMHz[d]
 		if f == 0 {
@@ -302,7 +291,7 @@ func (c *Core) Start(opts RunOptions) {
 			c.clks[d].Reset(c.regs[d].CurrentMHz(), jitter, 0, jrng)
 		}
 		c.curFreq[d] = c.clks[d].FrequencyMHz()
-		c.periods[d] = c.clks[d].PeriodPS()
+		periods[d] = c.clks[d].PeriodPS()
 	}
 	if c.sched == nil {
 		c.sched = clock.NewScheduler(c.clks[:])
@@ -353,7 +342,7 @@ func (c *Core) Start(opts RunOptions) {
 	c.wake = queue.Wakeup{
 		SingleClock:  cfg.SingleClock,
 		SyncWindowPS: cfg.SyncWindowPS,
-		Periods:      c.periods,
+		Periods:      periods,
 		Ring:         c.ring,
 	}
 	c.wakeScans()
@@ -416,8 +405,7 @@ func (c *Core) stepEdge() {
 		// regulator returns the frequency the clock already runs at.
 		c.curFreq[d] = f
 		c.sched.SetFrequencyMHz(d, f)
-		c.periods[d] = c.clks[d].PeriodPS()
-		c.wake.Periods[d] = c.periods[d]
+		c.wake.Periods[d] = c.clks[d].PeriodPS()
 		c.wakeScans()
 	}
 	c.freqIntegral[d] += f * dt
@@ -633,8 +621,8 @@ func (c *Core) peek() (*workload.Instr, bool) {
 // synchronization window. Penalties therefore arise from window
 // violations (clock jitter) and from inter-domain rate differences — the
 // two sources the paper's clocking model describes. The issue-queue CAM
-// scans evaluate the same rule through queue.Wakeup, over the same
-// periods table.
+// scans evaluate the same rule through queue.Wakeup, whose Periods
+// table this reads.
 func (c *Core) xvisible(done float64, from, to clock.Domain) float64 {
 	if c.cfg.SingleClock || from == to {
 		// Completion times are computed as issue edge + latency×period,
@@ -642,9 +630,9 @@ func (c *Core) xvisible(done float64, from, to clock.Domain) float64 {
 		// edge carries its own; a half-cycle guard keeps the edge-count
 		// semantics (back-to-back issue at the L-th following edge)
 		// independent of jitter.
-		return done - 0.5*c.periods[from]
+		return done - 0.5*c.wake.Periods[from]
 	}
-	return done - c.periods[from] + c.cfg.SyncWindowPS
+	return done - c.wake.Periods[from] + c.cfg.SyncWindowPS
 }
 
 func (c *Core) complete(seq uint64, at float64) {
@@ -737,7 +725,7 @@ func (c *Core) branchResume() float64 {
 		return done
 	}
 	return c.xvisible(done, clock.Domain(dom), clock.FrontEnd) +
-		float64(c.cfg.MispredictPenalty)*c.periods[clock.FrontEnd]
+		float64(c.cfg.MispredictPenalty)*c.wake.Periods[clock.FrontEnd]
 }
 
 // feQuietUntil returns the front end's quiet-until bound after a tick at
@@ -809,7 +797,7 @@ func (c *Core) fetch(t float64, v float64, active *bool) {
 				c.meter.Access(power.L2Cache, lsV, 1)
 			}
 			if lvl != cache.L1 {
-				lsPeriod := c.periods[clock.LoadStore]
+				lsPeriod := c.wake.Periods[clock.LoadStore]
 				var cross float64
 				if !cfg.SingleClock {
 					cross = 2 * cfg.SyncWindowPS // request and fill crossings
@@ -834,7 +822,7 @@ func (c *Core) fetch(t float64, v float64, active *bool) {
 		// (one-cycle dispatch-to-issue in the synchronous machine); across
 		// clock domains the interface FIFO additionally imposes the
 		// synchronization window on that edge.
-		vis := t + 0.5*c.periods[clock.FrontEnd]
+		vis := t + 0.5*c.wake.Periods[clock.FrontEnd]
 		if !c.cfg.SingleClock {
 			vis = t + c.cfg.SyncWindowPS
 		}
@@ -886,7 +874,7 @@ func (c *Core) fetch(t float64, v float64, active *bool) {
 func (c *Core) intTick(t float64) {
 	d := clock.Integer
 	v := c.regs[d].Voltage()
-	period := c.periods[d]
+	period := c.wake.Periods[d]
 	occ := c.iiq.Len()
 	c.chargeOccupancy(d, power.IntCAM, v, occ)
 	if t < c.quiet[d] {
@@ -950,7 +938,7 @@ func (c *Core) chargeIssue(iq, rf, fu power.Component, v float64, s1, s2 int64, 
 func (c *Core) fpTick(t float64) {
 	d := clock.FloatingPoint
 	v := c.regs[d].Voltage()
-	period := c.periods[d]
+	period := c.wake.Periods[d]
 	occ := c.fiq.Len()
 	c.chargeOccupancy(d, power.FPCAM, v, occ)
 	if t < c.quiet[d] {
@@ -987,7 +975,7 @@ func (c *Core) fpTick(t float64) {
 func (c *Core) lsTick(t float64) {
 	d := clock.LoadStore
 	v := c.regs[d].Voltage()
-	period := c.periods[d]
+	period := c.wake.Periods[d]
 	occ := c.lsq.Len()
 	c.chargeOccupancy(d, power.LSQCAM, v, occ)
 	if t < c.quiet[d] {

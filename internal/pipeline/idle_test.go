@@ -51,7 +51,7 @@ type edgeState struct {
 func captureEdgeState(c *Core) edgeState {
 	s := edgeState{
 		now: c.now, lastRetire: c.lastRetire, retired: c.retired, emitted: c.emitted, halted: c.halted,
-		last: c.last, curFreq: c.curFreq, periods: c.periods,
+		last: c.last, curFreq: c.curFreq, periods: c.wake.Periods,
 		occupSum: c.occupSum, ivTicks: c.ivTicks, freqIntegral: c.freqIntegral,
 		robLen: c.rob.Len(), iiqLen: c.iiq.Len(), fiqLen: c.fiq.Len(), lsqLen: c.lsq.Len(),
 		fetchStall: c.fetchStall, fetchBlock: c.fetchBlock, branchSeq: c.branchSeq,
@@ -78,7 +78,7 @@ func captureEdgeState(c *Core) edgeState {
 		s.accesses[k] = c.meter.Accesses(k)
 	}
 	g := c.gen.(workload.Checkpointer).Checkpoint()
-	s.genCalls, s.genSeq = g.RngCalls, g.Seq
+	s.genCalls, s.genSeq = g.Rng.Calls(), g.Seq
 	return s
 }
 

@@ -364,9 +364,13 @@ func (c *Core) nextDetailIndex(i int) int {
 // chosen detailed interval, except that skips never cross the warmup mark
 // (the mark must fire inside detailed execution, with a retire-width
 // guard for boundary overshoot) and never swallow the run's final
-// interval, so every run ends in detail.
+// interval, so every run ends in detail. Nothing is scheduled while the
+// next boundary is already behind the retire count: with an interval
+// shorter than the retire width one front-end cycle can cross two
+// boundaries, and a fast-forward's budget (nextIvAt − retired) would
+// underflow.
 func (c *Core) scheduleSkips() {
-	if !c.detail.valid {
+	if !c.detail.valid || c.retired >= c.nextIvAt {
 		c.skipPending = 0
 		return
 	}
@@ -498,8 +502,7 @@ func (c *Core) fastForwardInterval() {
 		if f != c.curFreq[d] {
 			c.curFreq[d] = f
 			c.clks[d].SetFrequencyMHz(f)
-			c.periods[d] = c.clks[d].PeriodPS()
-			c.wake.Periods[d] = c.periods[d]
+			c.wake.Periods[d] = c.clks[d].PeriodPS()
 		}
 		c.clks[d].FastForwardTo(newNow)
 		c.last[d] = newNow

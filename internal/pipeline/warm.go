@@ -9,15 +9,17 @@ import (
 	"mcd/internal/queue"
 	"mcd/internal/stats"
 	"mcd/internal/workload"
+	"mcd/internal/xrand"
 )
 
 // WarmState is a complete snapshot of a mid-run core, taken at a
 // StepIntervals boundary during warmup so a sweep can warm each benchmark
 // once and restore the state into every cell's core. A restored core is
 // byte-identical to one that executed the prefix itself: every piece of
-// mutable run state is captured, including the workload generator's rng
-// position and the jitter rng positions (both counted sources, see
-// xrand), so the resumed cycle stream is the same stream.
+// mutable run state is captured — the plain-data run state as one value,
+// the components as deep clones, and the workload generator's and the
+// jitter sources' rng registers by value (see xrand.State) — so the
+// resumed cycle stream is the same stream.
 //
 // Snapshots are only taken in sampled fidelity, where warmup runs
 // uncontrolled (see RunOptions.SampleEvery) — the warmed state is then
@@ -26,7 +28,7 @@ type WarmState struct {
 	gen    workload.GenState
 	regs   [clock.NumControllable]dvfs.Regulator
 	clks   [clock.NumControllable]clock.State
-	jcalls [clock.NumControllable]uint64
+	jitter [clock.NumControllable]xrand.State
 
 	pred *branch.Predictor
 	hier *cache.Hierarchy
@@ -38,49 +40,7 @@ type WarmState struct {
 
 	meter power.Meter
 
-	last         [clock.NumControllable]float64
-	curFreq      [clock.NumControllable]float64
-	periods      [clock.NumControllable]float64
-	occupSum     [clock.NumControllable]float64
-	ivTicks      [clock.NumControllable]float64
-	freqIntegral [clock.NumControllable]float64
-
-	intRegsFree int
-	fpRegsFree  int
-
-	pending    workload.Instr
-	havePend   bool
-	genDone    bool
-	fetchStall float64
-	branchSeq  int64
-	fetchBlock uint64
-
-	retired    uint64
-	lastRetire float64
-	now        float64
-	emitted    int
-
-	marked     bool
-	markTime   float64
-	markEnergy [clock.NumDomains]float64
-
-	ivStart  float64
-	ivIndex  int
-	nextIvAt uint64
-
-	skipPending   int
-	detail        detailModel
-	ivStartEnergy [clock.NumControllable]float64
-	ivStartEv     [3]uint64
-	ivStartClkPJ  [clock.NumControllable]float64
-	errCPI        errAcc
-	errEPI        errAcc
-	detailedIv    int
-	sampledIv     int
-	ctrlPrev      [clock.NumControllable]float64
-	ctrlQuiet     int
-	stretchPenSum float64
-	stretchPenN   int
+	run runState
 
 	intervals []stats.Interval
 }
@@ -103,56 +63,13 @@ func (c *Core) CaptureWarm() *WarmState {
 		rob:   c.rob.Clone(),
 		ring:  c.ring.Clone(),
 		meter: *c.meter,
-
-		last:         c.last,
-		curFreq:      c.curFreq,
-		periods:      c.periods,
-		occupSum:     c.occupSum,
-		ivTicks:      c.ivTicks,
-		freqIntegral: c.freqIntegral,
-
-		intRegsFree: c.intRegsFree,
-		fpRegsFree:  c.fpRegsFree,
-
-		pending:    c.pending,
-		havePend:   c.havePend,
-		genDone:    c.genDone,
-		fetchStall: c.fetchStall,
-		branchSeq:  c.branchSeq,
-		fetchBlock: c.fetchBlock,
-
-		retired:    c.retired,
-		lastRetire: c.lastRetire,
-		now:        c.now,
-		emitted:    c.emitted,
-
-		marked:     c.marked,
-		markTime:   c.markTime,
-		markEnergy: c.markEnergy,
-
-		ivStart:  c.ivStart,
-		ivIndex:  c.ivIndex,
-		nextIvAt: c.nextIvAt,
-
-		skipPending:   c.skipPending,
-		detail:        c.detail,
-		ivStartEnergy: c.ivStartEnergy,
-		ivStartEv:     c.ivStartEv,
-		ivStartClkPJ:  c.ivStartClkPJ,
-		errCPI:        c.errCPI,
-		errEPI:        c.errEPI,
-		detailedIv:    c.detailedIv,
-		sampledIv:     c.sampledIv,
-		ctrlPrev:      c.ctrlPrev,
-		ctrlQuiet:     c.ctrlQuiet,
-		stretchPenSum: c.stretchPenSum,
-		stretchPenN:   c.stretchPenN,
+		run:   c.runState,
 	}
 	for d := 0; d < clock.NumControllable; d++ {
 		w.regs[d] = *c.regs[d]
 		w.clks[d] = c.clks[d].State()
 		if c.jsrc[d] != nil {
-			w.jcalls[d] = c.jsrc[d].Calls()
+			w.jitter[d] = c.jsrc[d].State
 		}
 	}
 	if len(c.intervals) > 0 {
@@ -169,15 +86,12 @@ func (c *Core) CaptureWarm() *WarmState {
 // warm-snapshot pin test asserts this across the controller registry.
 func (c *Core) RestoreWarm(w *WarmState) {
 	c.gen.(workload.Checkpointer).Restore(w.gen)
-	jitter := c.cfg.JitterPS
-	if c.cfg.SingleClock {
-		jitter = 0
-	}
 	for d := 0; d < clock.NumControllable; d++ {
 		*c.regs[d] = w.regs[d]
 		c.clks[d].SetState(w.clks[d])
-		if jitter > 0 && c.jsrc[d] != nil {
-			c.jsrc[d].Restore(c.cfg.Seed+int64(d)*7919, w.jcalls[d])
+		c.wake.Periods[d] = c.clks[d].PeriodPS()
+		if c.jsrc[d] != nil {
+			c.jsrc[d].State = w.jitter[d]
 		}
 	}
 	c.pred.CopyFrom(w.pred)
@@ -188,53 +102,9 @@ func (c *Core) RestoreWarm(w *WarmState) {
 	c.rob.CopyFrom(w.rob)
 	c.ring.CopyFrom(w.ring)
 	*c.meter = w.meter
-
-	c.last = w.last
-	c.curFreq = w.curFreq
-	c.periods = w.periods
-	c.occupSum = w.occupSum
-	c.ivTicks = w.ivTicks
-	c.freqIntegral = w.freqIntegral
-	c.wake.Periods = c.periods
+	c.runState = w.run
 	c.wakeScans()
 	c.sched.Refresh()
-
-	c.intRegsFree = w.intRegsFree
-	c.fpRegsFree = w.fpRegsFree
-
-	c.pending = w.pending
-	c.havePend = w.havePend
-	c.genDone = w.genDone
-	c.fetchStall = w.fetchStall
-	c.branchSeq = w.branchSeq
-	c.fetchBlock = w.fetchBlock
-
-	c.retired = w.retired
-	c.lastRetire = w.lastRetire
-	c.now = w.now
-	c.emitted = w.emitted
-
-	c.marked = w.marked
-	c.markTime = w.markTime
-	c.markEnergy = w.markEnergy
-
-	c.ivStart = w.ivStart
-	c.ivIndex = w.ivIndex
-	c.nextIvAt = w.nextIvAt
-
-	c.skipPending = w.skipPending
-	c.detail = w.detail
-	c.ivStartEnergy = w.ivStartEnergy
-	c.ivStartEv = w.ivStartEv
-	c.ivStartClkPJ = w.ivStartClkPJ
-	c.errCPI = w.errCPI
-	c.errEPI = w.errEPI
-	c.detailedIv = w.detailedIv
-	c.sampledIv = w.sampledIv
-	c.ctrlPrev = w.ctrlPrev
-	c.ctrlQuiet = w.ctrlQuiet
-	c.stretchPenSum = w.stretchPenSum
-	c.stretchPenN = w.stretchPenN
 
 	if w.intervals != nil {
 		c.intervals = append(c.intervals[:0], w.intervals...)

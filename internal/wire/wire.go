@@ -37,10 +37,6 @@ const (
 // the service can never drift apart.
 func Controllers() []string { return control.Names() }
 
-// Configs is the legacy name for Controllers, kept so existing callers
-// keep compiling; the set now comes from the registry.
-func Configs() []string { return Controllers() }
-
 // RunRequest describes one simulation run: the JSON body of
 // POST /v1/runs and the programmatic form of cmd/mcdsim's flags.
 // Zero-valued fields take the mcdsim defaults.

@@ -137,7 +137,7 @@ func TestValidateListsValidSets(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown config accepted")
 	}
-	for _, c := range Configs() {
+	for _, c := range Controllers() {
 		if !strings.Contains(err.Error(), c) {
 			t.Errorf("config error %q does not list %q", err, c)
 		}
@@ -161,7 +161,7 @@ func TestValidateListsValidSets(t *testing.T) {
 // default-valued request equals a zero-valued one).
 func TestKeysDistinguishRequests(t *testing.T) {
 	seen := map[string]string{}
-	for _, cfg := range Configs() {
+	for _, cfg := range Controllers() {
 		k, err := (RunRequest{Benchmark: "adpcm", Config: cfg, Window: 8000, Warmup: U64(4000)}).Key()
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)

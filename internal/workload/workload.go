@@ -422,17 +422,16 @@ func (g *generator) next(in *Instr, deps bool) bool {
 
 // GenState is a checkpoint of a generator's mutable state: stream
 // position, phase cursor, PC walk, stride streams, per-phase branch-site
-// counters, and the rng position (as a source call count — the rng is a
-// pure function of seed and call count, see xrand). The phase script
-// itself is immutable and rebuilt from the profile, so it is not part of
-// the checkpoint.
+// counters, and the rng register by value (see xrand.State). The phase
+// script itself is immutable and rebuilt from the profile, so it is not
+// part of the checkpoint.
 type GenState struct {
 	Seq      uint64
 	PhIdx    int
 	PC       uint64
 	LastLd   uint64
 	Streams  [4]uint64
-	RngCalls uint64
+	Rng      xrand.State
 	Counters [][]uint16 // deep copy, one slice per phase
 }
 
@@ -454,7 +453,7 @@ func (g *generator) Checkpoint() GenState {
 		PC:       g.pc,
 		LastLd:   g.lastLd,
 		Streams:  g.streams,
-		RngCalls: g.rng.Calls(),
+		Rng:      g.rng.State,
 		Counters: make([][]uint16, len(g.phases)),
 	}
 	for i := range g.phases {
@@ -474,7 +473,7 @@ func (g *generator) Restore(s GenState) {
 	g.pc = s.PC
 	g.lastLd = s.LastLd
 	g.streams = s.Streams
-	g.rng.Restore(g.prof.Seed^0x5eed, s.RngCalls)
+	g.rng.State = s.Rng
 	for i := range g.phases {
 		if i < len(s.Counters) {
 			copy(g.phases[i].counters, s.Counters[i])

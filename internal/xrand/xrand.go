@@ -5,12 +5,10 @@
 // per-edge jitter draw and the workload generator's draws are direct
 // calls instead of a rand.Rand → rand.Source interface chain.
 //
-// The generator is a pure function of (seed, number of source advances):
-// every Int63/Uint64 advances the feedback register exactly once, and
-// every higher-level draw is built from those. Counting advances
-// therefore captures the complete generator state in one uint64, and
-// restoring is reseed + discard — cheap relative to simulation,
-// allocation-free, and exact.
+// The generator's complete state — the feedback register, its two ring
+// cursors and the advance count — is one plain value, State. Assigning
+// a saved State back restores the stream position exactly, in O(1) and
+// without allocating; no draw is replayed.
 //
 // Seeding needs math/rand's secret seeding table (rngCooked). Instead of
 // copying it, Seed runs the standard library's own seeding, reads the
@@ -27,16 +25,30 @@ const (
 	lfMask = 1<<63 - 1
 )
 
-// Counting is a counted, concrete equivalent of
-// rand.New(rand.NewSource(seed)). It also implements rand.Source64.
-type Counting struct {
+// State is a source's complete stream position. It holds no reference,
+// so a copy is independent of the source it came from: assigning a
+// saved State into any Counting continues the saved stream draw for
+// draw.
+type State struct {
 	// vec is the register as a ring: vec[pos] holds x[n−lfLen] for the
 	// next output x[n], and vec[tap] holds x[n−lfTap].
 	vec      [lfLen]uint64
 	pos, tap int
 	n        uint64
+}
+
+// Calls returns how many times the source has advanced since Seed.
+func (s *State) Calls() uint64 { return s.n }
+
+// Counting is a counted, concrete equivalent of
+// rand.New(rand.NewSource(seed)). It also implements rand.Source64.
+// Its State is the whole stream position: save and restore a source by
+// copying that field.
+type Counting struct {
+	State
 	// seeder is the standard-library source Seed derives the register
-	// from; kept so reseeding allocates nothing.
+	// from; kept so reseeding allocates nothing. It is never part of a
+	// State, so sources restored from one snapshot share nothing.
 	seeder rand.Source64
 }
 
@@ -144,16 +156,4 @@ again:
 		goto again
 	}
 	return f
-}
-
-// Calls returns how many times the source has advanced since Seed.
-func (c *Counting) Calls() uint64 { return c.n }
-
-// Restore reseeds and replays n source advances, leaving the source in
-// exactly the state Calls()==n captured.
-func (c *Counting) Restore(seed int64, n uint64) {
-	c.Seed(seed)
-	for i := uint64(0); i < n; i++ {
-		c.Uint64()
-	}
 }

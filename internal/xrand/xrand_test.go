@@ -83,9 +83,11 @@ func TestMixedDrawsMatchMathRand(t *testing.T) {
 	}
 }
 
-// TestRestoreContinuesStream checks that Restore(seed, Calls()) lands on
-// the same stream position, in a fresh source and in a used one.
-func TestRestoreContinuesStream(t *testing.T) {
+// TestStateCopyContinuesStream checks that a State saved mid-stream and
+// assigned into another source — a fresh one, and a used one on another
+// seed — continues exactly like a reference reseeded to the same seed
+// and advanced by the same Calls() inline, through mixed draws.
+func TestStateCopyContinuesStream(t *testing.T) {
 	for _, seed := range seeds {
 		a := NewCounting(seed)
 		for i := 0; i < 5000; i++ {
@@ -93,24 +95,43 @@ func TestRestoreContinuesStream(t *testing.T) {
 			if i%7 == 0 {
 				a.Intn(10)
 			}
+			if i%11 == 0 {
+				a.Float64()
+			}
+		}
+		saved := a.State
+		ref := NewCounting(seed)
+		for i := uint64(0); i < a.Calls(); i++ {
+			ref.Uint64()
 		}
 		fresh := NewCounting(seed)
-		fresh.Restore(seed, a.Calls())
+		fresh.State = saved
 		used := NewCounting(seed + 1)
 		used.Float64()
-		used.Restore(seed, a.Calls())
+		used.State = saved
+		a.NormFloat64() // the saved copy must not follow its source
 		for _, b := range []*Counting{fresh, used} {
-			if b.Calls() != a.Calls() {
-				t.Fatalf("seed %d: restored Calls() = %d, want %d", seed, b.Calls(), a.Calls())
+			if b.Calls() != ref.Calls() {
+				t.Fatalf("seed %d: copied Calls() = %d, want %d", seed, b.Calls(), ref.Calls())
 			}
 		}
+		order := rand.New(rand.NewSource(seed ^ 0x5eed))
 		for i := 0; i < draws; i++ {
-			w := a.Uint64()
-			if g := fresh.Uint64(); g != w {
-				t.Fatalf("seed %d: fresh restore diverges at draw %d", seed, i)
+			var w, g, u float64
+			switch order.Intn(3) {
+			case 0:
+				w, g, u = ref.NormFloat64(), fresh.NormFloat64(), used.NormFloat64()
+			case 1:
+				w, g, u = ref.Float64(), fresh.Float64(), used.Float64()
+			default:
+				n := 1 + order.Intn(64)
+				w, g, u = float64(ref.Intn(n)), float64(fresh.Intn(n)), float64(used.Intn(n))
 			}
-			if g := used.Uint64(); g != w {
-				t.Fatalf("seed %d: reused restore diverges at draw %d", seed, i)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d: fresh copy diverges at draw %d", seed, i)
+			}
+			if math.Float64bits(u) != math.Float64bits(w) {
+				t.Fatalf("seed %d: reused copy diverges at draw %d", seed, i)
 			}
 		}
 	}
@@ -126,7 +147,7 @@ func TestReseedEqualsFresh(t *testing.T) {
 		}
 		c.Seed(seed)
 		fresh := NewCounting(seed)
-		if c.vec != fresh.vec || c.pos != fresh.pos || c.tap != fresh.tap || c.n != fresh.n {
+		if c.State != fresh.State {
 			t.Fatalf("seed %d: reseeded state differs from a fresh source", seed)
 		}
 		for i := 0; i < draws; i++ {
