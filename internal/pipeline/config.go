@@ -157,6 +157,10 @@ type IntervalView struct {
 	Estimated bool
 }
 
+// DefaultIntervalLength is the control interval, in instructions, a run
+// uses when RunOptions.IntervalLength is zero (the paper's 10,000).
+const DefaultIntervalLength = 10_000
+
 // RunOptions controls one simulation.
 type RunOptions struct {
 	// Window is the number of instructions to retire and measure.
@@ -168,7 +172,7 @@ type RunOptions struct {
 	// start after warmup.
 	Warmup uint64
 	// IntervalLength is the controller sampling period in instructions
-	// (paper: 10,000). Zero uses 10,000.
+	// (paper: 10,000). Zero uses DefaultIntervalLength.
 	IntervalLength uint64
 	// Controller may be nil for fixed-frequency runs.
 	Controller Controller

@@ -154,51 +154,15 @@ type runState struct {
 
 	freqIntegral [clock.NumControllable]float64
 
-	// Sampled fidelity tier (opts.SampleEvery > 1): skipPending counts the
-	// control intervals scheduled for analytical fast-forward before the
-	// next detailed one; detail seeds the fast-forward model with the most
-	// recent detailed interval; ivStartEnergy anchors per-interval energy
-	// deltas; the err accumulators collect per-detailed-interval CPI/EPI
-	// samples for the confidence bounds Finish reports.
-	skipPending   int
-	detail        detailModel
-	ivStartEnergy [clock.NumControllable]float64
-	// ivStartEv anchors the cumulative event counters (L1 misses, L2
-	// misses, branch recoveries) and ivStartClkPJ each domain's clock
-	// energy at the interval start: the fast-forward model calibrates a
-	// penalty-per-event coefficient from each detailed interval's deltas
-	// and prices the skipped intervals by the events functional warming
-	// observes in them.
-	ivStartEv    [3]uint64
-	ivStartClkPJ [clock.NumControllable]float64
-	errCPI       errAcc
-	errEPI       errAcc
-	detailedIv   int
-	sampledIv    int
-	// ctrlPrev/ctrlQuiet drive adaptive skip scheduling: the last targets
-	// the controller commanded, and how many consecutive observations made
-	// no attack-sized move (see noteTargets). Skips are only scheduled
-	// once the controller has been quiet for a couple of observations, so
-	// reactive phases run detailed and quiet phases fast-forward.
-	ctrlPrev  [clock.NumControllable]float64
-	ctrlQuiet int
-	// stretchPenSum/stretchPenN accumulate the per-interval (full-interval
-	// normalized) warming penalties of the current skip stretch, feeding
-	// the penalty-basis ratio calibration (detailModel.rho) at the next
-	// detailed interval.
-	stretchPenSum float64
-	stretchPenN   int
-	// walkS/walkOff memoize the sampling-offset random walk (a pure
-	// function of the stratum index; see sampleOffset), so a warm
-	// snapshot may carry them along without changing any result.
-	walkS   int
-	walkOff int
+	// The sampled fidelity tier's state (see sampled.go); an exact run
+	// never writes it.
+	sampler
 }
 
 // freshRunState is the run state of a newly constructed core. The
 // sentinels: branchSeq −1 is "no unresolved mispredict", walkS −1 the
 // sampling walk's "not started" (see sampleOffset).
-func freshRunState() runState { return runState{branchSeq: -1, walkS: -1} }
+func freshRunState() runState { return runState{branchSeq: -1, sampler: sampler{walkS: -1}} }
 
 // New builds a core over the given workload generator.
 func New(cfg Config, gen workload.Generator) *Core {
@@ -249,7 +213,7 @@ func (c *Core) Run(opts RunOptions) stats.Result {
 func (c *Core) Start(opts RunOptions) {
 	c.opts = opts
 	if c.opts.IntervalLength == 0 {
-		c.opts.IntervalLength = 10_000
+		c.opts.IntervalLength = DefaultIntervalLength
 	}
 	cfg := c.cfg
 
@@ -366,27 +330,40 @@ func (c *Core) Start(opts RunOptions) {
 // (A single front-end cycle can retire past two interval boundaries
 // when the interval is shorter than the retire width, so a step may
 // occasionally overshoot by one.) It returns true while the run can
-// still advance.
+// still advance. The fidelity tier is chosen once per call: the exact
+// loop, or the sampled loop above it (stepSampled).
 func (c *Core) StepIntervals(n int) bool {
 	target := -1
 	if n > 0 {
 		target = c.emitted + n
 	}
-	for !c.halted && c.retired < c.total && (target < 0 || c.emitted < target) {
-		if c.skipPending > 0 {
-			c.fastForwardInterval()
-			continue
-		}
+	if c.opts.SampleEvery > 1 {
+		c.stepSampled(target)
+	} else {
+		c.stepExact(target)
+	}
+	if c.retired >= c.total {
+		c.halted = true
+	}
+	return !c.halted
+}
+
+// advancing reports whether a step toward target (emitted intervals; <0:
+// no target) should continue.
+func (c *Core) advancing(target int) bool {
+	return !c.halted && c.retired < c.total && (target < 0 || c.emitted < target)
+}
+
+// stepExact is the exact loop: every clock edge until target, consumed
+// one at a time or in idle stretches.
+func (c *Core) stepExact(target int) {
+	for c.advancing(target) {
 		if h, ok := c.idleStretch(); ok {
 			c.stepIdle(h)
 			continue
 		}
 		c.stepEdge()
 	}
-	if c.retired >= c.total {
-		c.halted = true
-	}
-	return !c.halted
 }
 
 // stepEdge consumes the earliest pending clock edge: the domain's
@@ -431,10 +408,10 @@ func (c *Core) stepEdge() {
 // still has to move (slewing, or not yet programmed into its clock) caps
 // H at its pending edge, because that edge changes a period — a
 // readiness input — and so must run through stepEdge. No stretch opens
-// while a fast-forward is pending or an interval boundary is due: both
-// are front-end work. H never passes the no-retirement watchdog's
-// deadline, so a machine that can no longer make progress still stops
-// there, edge by edge, instead of stretching forever.
+// while an interval boundary is due: that is front-end work. H never
+// passes the no-retirement watchdog's deadline, so a machine that can no
+// longer make progress still stops there, edge by edge, instead of
+// stretching forever.
 func (c *Core) idleStretch() (float64, bool) {
 	h := c.lastRetire + stallPS
 	for _, q := range c.quiet {
@@ -442,7 +419,7 @@ func (c *Core) idleStretch() (float64, bool) {
 			h = q
 		}
 	}
-	if h <= c.now || c.skipPending > 0 || c.retired >= c.nextIvAt {
+	if h <= c.now || c.retired >= c.nextIvAt {
 		return h, false
 	}
 	for d, r := range c.regs {
@@ -588,12 +565,11 @@ func (c *Core) Finish() stats.Result {
 	res.BranchAccuracy = c.pred.Stats().Accuracy()
 	res.L1DMissRate = c.hier.L1D.Stats().MissRate()
 	res.L2MissRate = c.hier.L2C.Stats().MissRate()
-	if c.opts.SampleEvery > 1 {
-		res.DetailedIntervals = c.detailedIv
-		res.SampledIntervals = c.sampledIv
-		res.CPIErr95 = c.errCPI.rel95()
-		res.EPIErr95 = c.errEPI.rel95()
-	}
+	// Zero unless sampled: no other run writes the sampler.
+	res.DetailedIntervals = c.detailedIv
+	res.SampledIntervals = c.sampledIv
+	res.CPIErr95 = c.errCPI.rel95()
+	res.EPIErr95 = c.errEPI.rel95()
 	return res
 }
 
@@ -695,8 +671,8 @@ func (c *Core) feTick(t float64) {
 			c.mark(t)
 		}
 	}
-	for c.skipPending == 0 && c.retired >= c.nextIvAt {
-		c.emitInterval(t)
+	for c.retired >= c.nextIvAt {
+		c.emitDetailed(t)
 	}
 
 	// Resolve an outstanding mispredicted branch: fetch resumes a fixed
@@ -1046,44 +1022,61 @@ func (c *Core) mark(t float64) {
 		c.freqIntegral[d] = 0
 		c.occupSum[d] = 0
 		c.ivTicks[d] = 0
-		c.ivStartEnergy[d] = c.meter.DomainPJ(clock.Domain(d))
-		c.ivStartClkPJ[d] = c.meter.DomainClockPJ(clock.Domain(d))
 	}
-	c.ivStartEv = c.eventCounts()
+	if c.opts.SampleEvery > 1 {
+		c.anchorInterval()
+	}
 }
 
 // ----------------------------------------------------------------- intervals
 
-func (c *Core) emitInterval(t float64) {
+// emitDetailed closes the detailed interval ending at t: the controller
+// sees the occupancy the interval's edges accumulated. At sampled
+// fidelity the fast-forward model is seeded before the accumulators roll
+// over, and the next skips are scheduled after.
+func (c *Core) emitDetailed(t float64) {
 	ivLen := c.opts.IntervalLength
 	sampling := c.opts.SampleEvery > 1
 	if sampling {
-		// Seed the fast-forward model before the accumulators roll over.
 		c.noteDetailInterval(t, ivLen)
 	}
-	iv := IntervalView{
-		Index:        c.ivIndex,
-		Instructions: ivLen,
-		EndPS:        t,
-		Warmup:       !c.marked,
-	}
+	var iv IntervalView
 	for d := 0; d < clock.NumControllable; d++ {
 		iv.QueueUtil[d] = c.occupSum[d] / float64(ivLen)
 		if c.ivTicks[d] > 0 {
 			iv.QueueAvg[d] = c.occupSum[d] / c.ivTicks[d]
 		}
-		iv.FreqMHz[d] = c.regs[d].TargetMHz()
 		c.occupSum[d] = 0
 		c.ivTicks[d] = 0
 	}
-	if dt := t - c.ivStart; dt > 0 {
-		iv.IPC = float64(ivLen) / (dt / 1000)
-	}
+	c.emit(iv, t, t-c.ivStart)
 	if sampling {
 		// Skipped intervals hold the last detailed interval's occupancy
 		// view in front of the controller.
 		c.detail.util = iv.QueueUtil
 		c.detail.qavg = iv.QueueAvg
+		c.scheduleSkips()
+	}
+}
+
+// emit closes the control interval ending at t, detailed or estimated:
+// the one place an interval is shown to the controller, recorded and
+// streamed, and the interval counters roll over. The caller fills in the
+// occupancy view (and Estimated); dt is the interval's duration, which a
+// fast-forward passes as its own estimate because (now+dt)−now need not
+// equal dt.
+func (c *Core) emit(iv IntervalView, t, dt float64) {
+	ivLen := c.opts.IntervalLength
+	sampling := c.opts.SampleEvery > 1
+	iv.Index = c.ivIndex
+	iv.Instructions = ivLen
+	iv.EndPS = t
+	iv.Warmup = !c.marked
+	for d := 0; d < clock.NumControllable; d++ {
+		iv.FreqMHz[d] = c.regs[d].TargetMHz()
+	}
+	if dt > 0 {
+		iv.IPC = float64(ivLen) / (dt / 1000)
 	}
 	// At exact fidelity on-line controllers adapt through warmup; at
 	// sampled fidelity warmup is left uncontrolled so the warmed state is
@@ -1097,6 +1090,12 @@ func (c *Core) emitInterval(t float64) {
 		}
 		if sampling {
 			c.noteTargets(targets)
+			// A schedule step or end-stop probe during a skip counts as
+			// activity too: the remaining skips of this stretch are
+			// abandoned so the controller's response lands on measured data.
+			if c.ctrlQuiet < ctrlQuietMin {
+				c.skipPending = 0
+			}
 		}
 	}
 	var siv stats.Interval
@@ -1110,6 +1109,7 @@ func (c *Core) emitInterval(t float64) {
 			QueueAvg:     iv.QueueAvg,
 			FreqMHz:      iv.FreqMHz,
 			IPC:          iv.IPC,
+			Estimated:    iv.Estimated,
 		}
 		if c.opts.RecordIntervals {
 			c.intervals = append(c.intervals, siv)
@@ -1120,12 +1120,7 @@ func (c *Core) emitInterval(t float64) {
 	c.emitted++
 	c.nextIvAt += ivLen
 	if sampling {
-		for d := 0; d < clock.NumControllable; d++ {
-			c.ivStartEnergy[d] = c.meter.DomainPJ(clock.Domain(d))
-			c.ivStartClkPJ[d] = c.meter.DomainClockPJ(clock.Domain(d))
-		}
-		c.ivStartEv = c.eventCounts()
-		c.scheduleSkips()
+		c.anchorInterval()
 	}
 	// The observer runs after the counters roll over, so a Progress read
 	// from inside it counts the interval it is being shown.

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"mcd/internal/clock"
-	"mcd/internal/stats"
 	"mcd/internal/workload"
 )
 
@@ -28,6 +27,74 @@ import (
 // the dispatch stream, which the completion ring treats as ancient
 // history (ready) and the ROB's completion lookup handles with a bounded
 // fallback scan.
+
+// sampler is the sampled tier's part of the run state, embedded in
+// runState so warm capture and restore copy it with the rest. Only
+// sampled runs (opts.SampleEvery > 1) write it.
+type sampler struct {
+	// skipPending counts the control intervals scheduled for analytical
+	// fast-forward before the next detailed one; detail seeds the
+	// fast-forward model with the most recent detailed interval.
+	skipPending int
+	detail      detailModel
+	// ivStartEnergy, ivStartClkPJ and ivStartEv anchor each domain's
+	// energy and clock energy and the cumulative event counters (L1
+	// misses, L2 misses, branch recoveries) at the interval start (see
+	// anchorInterval): the fast-forward model calibrates a penalty per
+	// event from each detailed interval's deltas and prices the skipped
+	// intervals by the events functional warming observes in them.
+	ivStartEnergy [clock.NumControllable]float64
+	ivStartClkPJ  [clock.NumControllable]float64
+	ivStartEv     [3]uint64
+	// The err accumulators collect per-detailed-interval CPI/EPI samples
+	// for the confidence bounds Finish reports.
+	errCPI     errAcc
+	errEPI     errAcc
+	detailedIv int
+	sampledIv  int
+	// ctrlPrev/ctrlQuiet drive adaptive skip scheduling: the last targets
+	// the controller commanded, and how many consecutive observations made
+	// no attack-sized move (see noteTargets). Skips are only scheduled
+	// once the controller has been quiet for a couple of observations, so
+	// reactive phases run detailed and quiet phases fast-forward.
+	ctrlPrev  [clock.NumControllable]float64
+	ctrlQuiet int
+	// stretchPenSum/stretchPenN accumulate the per-interval (full-interval
+	// normalized) warming penalties of the current skip stretch, feeding
+	// the penalty-basis ratio calibration (detailModel.rho) at the next
+	// detailed interval.
+	stretchPenSum float64
+	stretchPenN   int
+	// walkS/walkOff memoize the sampling-offset random walk (a pure
+	// function of the stratum index; see sampleOffset), so a warm
+	// snapshot may carry them along without changing any result.
+	walkS   int
+	walkOff int
+}
+
+// stepSampled is StepIntervals at sampled fidelity, a loop above the
+// exact loop: a pending skip fast-forwards one interval, and otherwise
+// the exact loop runs to the next emission. Only an emission schedules
+// skips, so the exact loop never has to test for them.
+func (c *Core) stepSampled(target int) {
+	for c.advancing(target) {
+		if c.skipPending > 0 {
+			c.fastForwardInterval()
+			continue
+		}
+		c.stepExact(c.emitted + 1)
+	}
+}
+
+// anchorInterval records the counters the fast-forward model takes
+// per-interval deltas of, at the start of the interval now opening.
+func (c *Core) anchorInterval() {
+	for d := 0; d < clock.NumControllable; d++ {
+		c.ivStartEnergy[d] = c.meter.DomainPJ(clock.Domain(d))
+		c.ivStartClkPJ[d] = c.meter.DomainClockPJ(clock.Domain(d))
+	}
+	c.ivStartEv = c.eventCounts()
+}
 
 // detailModel is the fast-forward model's seed: the most recent detailed
 // interval's duration, per-domain cycle shares, operating point, energy
@@ -159,7 +226,7 @@ func (c *Core) penaltyCycles(perPS float64, ev, since [3]uint64) float64 {
 }
 
 // noteDetailInterval seeds the fast-forward model from the detailed
-// interval ending at t, before emitInterval rolls the accumulators over.
+// interval ending at t, before emit rolls the accumulators over.
 func (c *Core) noteDetailInterval(t float64, ivLen uint64) {
 	m := &c.detail
 	dt := t - c.ivStart
@@ -368,13 +435,11 @@ func (c *Core) nextDetailIndex(i int) int {
 // next boundary is already behind the retire count: with an interval
 // shorter than the retire width one front-end cycle can cross two
 // boundaries, and a fast-forward's budget (nextIvAt − retired) would
-// underflow.
+// underflow. Nor is anything scheduled until an observing controller has
+// been quiet for ctrlQuietMin observations (see noteTargets).
 func (c *Core) scheduleSkips() {
-	if !c.detail.valid || c.retired >= c.nextIvAt {
-		c.skipPending = 0
-		return
-	}
-	if c.opts.Controller != nil && c.marked && c.ctrlQuiet < ctrlQuietMin {
+	if !c.detail.valid || c.retired >= c.nextIvAt ||
+		c.opts.Controller != nil && c.marked && c.ctrlQuiet < ctrlQuietMin {
 		c.skipPending = 0
 		return
 	}
@@ -527,8 +592,13 @@ func (c *Core) fastForwardInterval() {
 	c.now = newNow
 	c.lastRetire = newNow
 
-	c.emitEstimated(newNow, dt, ivLen)
-	if c.skipPending > 0 { // emitEstimated may abandon the stretch
+	if c.marked {
+		c.sampledIv++
+	}
+	// The controller sees the last detailed interval's occupancy view and
+	// the extrapolated IPC.
+	c.emit(IntervalView{QueueUtil: m.util, QueueAvg: m.qavg, Estimated: true}, newNow, dt)
+	if c.skipPending > 0 { // emit may abandon the stretch
 		c.skipPending--
 	}
 }
@@ -554,76 +624,5 @@ func (c *Core) warmInstr(in *workload.Instr) {
 		}
 	case in.Class.Memory():
 		c.hier.Data(in.Addr)
-	}
-}
-
-// emitEstimated emits the bookkeeping for one fast-forwarded interval:
-// the controller observes it (post-mark) with the last detailed
-// interval's occupancy view and the extrapolated IPC, recording and
-// streaming mark it Estimated, and the interval counters advance exactly
-// as a detailed emission would.
-func (c *Core) emitEstimated(t, dt float64, ivLen uint64) {
-	m := &c.detail
-	iv := IntervalView{
-		Index:        c.ivIndex,
-		Instructions: ivLen,
-		EndPS:        t,
-		Warmup:       !c.marked,
-		QueueUtil:    m.util,
-		QueueAvg:     m.qavg,
-		Estimated:    true,
-	}
-	for d := 0; d < clock.NumControllable; d++ {
-		iv.FreqMHz[d] = c.regs[d].TargetMHz()
-	}
-	if dt > 0 {
-		iv.IPC = float64(ivLen) / (dt / 1000)
-	}
-	if c.opts.Controller != nil && c.marked {
-		targets := c.opts.Controller.Observe(iv)
-		for d := 0; d < clock.NumControllable; d++ {
-			if targets[d] > 0 {
-				c.regs[d].SetTargetMHz(targets[d])
-			}
-		}
-		// A schedule step or end-stop probe during a skip counts as
-		// activity too: the remaining skips of this stretch are abandoned
-		// so the controller's response lands on measured data.
-		c.noteTargets(targets)
-		if c.ctrlQuiet < ctrlQuietMin {
-			c.skipPending = 0
-		}
-	}
-	var siv stats.Interval
-	notify := c.marked && (c.opts.RecordIntervals || c.opts.OnInterval != nil)
-	if notify {
-		siv = stats.Interval{
-			Index:        iv.Index,
-			Instructions: iv.Instructions,
-			EndPS:        iv.EndPS,
-			QueueUtil:    iv.QueueUtil,
-			QueueAvg:     iv.QueueAvg,
-			FreqMHz:      iv.FreqMHz,
-			IPC:          iv.IPC,
-			Estimated:    true,
-		}
-		if c.opts.RecordIntervals {
-			c.intervals = append(c.intervals, siv)
-		}
-	}
-	if c.marked {
-		c.sampledIv++
-	}
-	c.ivStart = t
-	c.ivIndex++
-	c.emitted++
-	c.nextIvAt += ivLen
-	for d := 0; d < clock.NumControllable; d++ {
-		c.ivStartEnergy[d] = c.meter.DomainPJ(clock.Domain(d))
-		c.ivStartClkPJ[d] = c.meter.DomainClockPJ(clock.Domain(d))
-	}
-	c.ivStartEv = c.eventCounts()
-	if notify && c.opts.OnInterval != nil {
-		c.opts.OnInterval(siv)
 	}
 }

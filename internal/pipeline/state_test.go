@@ -58,3 +58,23 @@ func TestResetRunStateMatchesNew(t *testing.T) {
 		t.Fatalf("after Start, Reset run state differs from New:\n got %+v\nwant %+v", used.runState, fresh.runState)
 	}
 }
+
+// TestExactRunLeavesSamplerFresh checks that only the sampled tier
+// writes sampler state: after an exact run, and after a SampleEvery 1
+// run (every interval detailed), the core's sampler is still the one New
+// constructs.
+func TestExactRunLeavesSamplerFresh(t *testing.T) {
+	prof := intProfile(5)
+	fresh := New(DefaultConfig(), prof.NewGenerator(0))
+	for _, every := range []int{0, 1} {
+		opts := RunOptions{Warmup: 8_000, Window: 40_000, IntervalLength: 500, SampleEvery: every, Controller: flipController()}
+		c := New(DefaultConfig(), prof.NewGenerator(opts.Warmup+opts.Window))
+		c.Run(opts)
+		if c.ivIndex == 0 {
+			t.Fatalf("SampleEvery %d: the run emitted no measured interval", every)
+		}
+		if c.sampler != fresh.sampler {
+			t.Errorf("SampleEvery %d: run wrote sampler state:\n got %+v\nwant %+v", every, c.sampler, fresh.sampler)
+		}
+	}
+}

@@ -44,15 +44,22 @@ var warmCache = struct {
 }{entries: make(map[string]*warmEntry)}
 
 // warmIntervals returns how many control intervals of warmup can be
-// snapshotted and shared: the last interval boundary strictly before the
-// mark (boundary overshoot is bounded by the retire width, far below an
-// interval). Runs with fewer than two warmup intervals are ineligible.
+// snapshotted and shared: the last interval boundary k safely before the
+// mark. One front-end cycle can retire up to RetireWidth instructions
+// past a boundary, and the build runs without a controller, so the
+// boundary keeps that much headroom (k·l + RetireWidth ≤ Warmup, the
+// headroom the sampled tier's skip scheduling keeps too) — otherwise the
+// build's last edge could cross the mark and emit a measured interval no
+// controller observed. k is also at most the boundary before the mark's
+// own, which is the binding limit whenever l ≥ RetireWidth. Runs with no
+// such boundary past the first are ineligible.
 func warmIntervals(s Spec) int {
-	l := s.IntervalLength
+	l := int(s.IntervalLength)
 	if l == 0 {
-		l = 10_000 // pipeline.RunOptions' default
+		l = pipeline.DefaultIntervalLength
 	}
-	k := int(s.Warmup/l) - 1
+	w := int(s.Warmup)
+	k := min((w-s.Config.RetireWidth)/l, w/l-1)
 	if k < 1 {
 		return 0
 	}

@@ -17,7 +17,9 @@ import (
 // snapshot (single-flight) and later ones restore it from the cache, so
 // the loop exercises both the capture and the restore path; byte
 // equality of the JSON encodings is the same identity bar the caching
-// and session pins use.
+// and session pins use. The second interval length is shorter than the
+// retire width, where the last warmup edge can retire past the snapshot
+// boundary's headroom.
 func TestWarmupSnapshotByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the full registry twice")
@@ -28,14 +30,6 @@ func TestWarmupSnapshotByteIdentity(t *testing.T) {
 	}
 	cfg := mcd.DefaultConfig()
 	cfg.SlewNsPerMHz = 4.91
-	run := mcd.ControllerRun{
-		Config:         cfg,
-		Profile:        bench.Profile,
-		Window:         20_000,
-		Warmup:         8_000,
-		IntervalLength: 500,
-		Fidelity:       sim.FidelitySampled,
-	}
 	params := map[string]mcd.ControllerParams{
 		"dynamic":   {"iters": 2},
 		"dynamic-1": {"iters": 2},
@@ -45,30 +39,40 @@ func TestWarmupSnapshotByteIdentity(t *testing.T) {
 	// The reuse switch is process-global, so the registry is walked
 	// serially: straight warmup first, then the warm-restored replay.
 	defer sim.SetWarmReuse(true)
-	for _, name := range mcd.ControllerNames() {
-		spec, err := mcd.ControllerSpec(name, params[name], run)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, interval := range []uint64{500, 4} {
+		run := mcd.ControllerRun{
+			Config:         cfg,
+			Profile:        bench.Profile,
+			Window:         20_000,
+			Warmup:         8_000,
+			IntervalLength: interval,
+			Fidelity:       sim.FidelitySampled,
 		}
-		sim.SetWarmReuse(false)
-		want, err := json.Marshal(mcd.Run(spec))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		for _, name := range mcd.ControllerNames() {
+			spec, err := mcd.ControllerSpec(name, params[name], run)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sim.SetWarmReuse(false)
+			want, err := json.Marshal(mcd.Run(spec))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 
-		sim.SetWarmReuse(true)
-		for pass := 0; pass < 2; pass++ { // build-then-restore, then pure restore
-			spec2, err := mcd.ControllerSpec(name, params[name], run)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			got, err := json.Marshal(mcd.Run(spec2))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s (pass %d): warm-restored run differs from straight run\nstraight: %s\nrestored: %s",
-					name, pass, want, got)
+			sim.SetWarmReuse(true)
+			for pass := 0; pass < 2; pass++ { // build-then-restore, then pure restore
+				spec2, err := mcd.ControllerSpec(name, params[name], run)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := json.Marshal(mcd.Run(spec2))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s, interval %d (pass %d): warm-restored run differs from straight run\nstraight: %s\nrestored: %s",
+						name, interval, pass, want, got)
+				}
 			}
 		}
 	}
