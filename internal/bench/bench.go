@@ -265,9 +265,12 @@ const (
 // fully synchronous, baseline MCD, Attack/Decay, and both off-line
 // schedules (each a compound BuildOffline + replay). Every cell
 // resolves through the controller registry, so its content address (and
-// its Result's Config label) is the registry's.
-func (o Options) phase1Tasks(b workload.Benchmark) []runner.Task[stats.Result] {
+// its Result's Config label) is the registry's. The off-line searches
+// share store, so both profile one all-max baseline and a candidate
+// schedule they both reach simulates once.
+func (o Options) phase1Tasks(b workload.Benchmark, store *resultcache.Cache) []runner.Task[stats.Result] {
 	run := o.controlRun(b)
+	run.Store = store
 	iters := control.Params{"iters": float64(o.OfflineIters)}
 	return []runner.Task[stats.Result]{
 		cSync: o.resolvedTask(b.Name, b.Name+"/sync", "sync", nil, run),
@@ -281,9 +284,12 @@ func (o Options) phase1Tasks(b workload.Benchmark) []runner.Task[stats.Result] {
 // globalTasks builds the three Global(·) searches of one row; they depend
 // on the phase-1 results, so they form the batch's second phase. Each is
 // the registered "global" controller with the measured baseline time and
-// target degradation as parameters.
-func (o Options) globalTasks(c *Comparison) []runner.Task[stats.Result] {
+// target degradation as parameters. The searches share store: they
+// bisect the same frequency scale, so they visit many of the same
+// probes.
+func (o Options) globalTasks(c *Comparison, store *resultcache.Cache) []runner.Task[stats.Result] {
 	run := o.controlRun(c.Bench)
+	run.Store = store
 	mk := func(label string, deg float64) runner.Task[stats.Result] {
 		return o.resolvedTask(c.Bench.Name, c.Bench.Name+"/"+label, "global",
 			control.Params{"deg": deg, "base_ps": c.Sync.TimePS}, run)
@@ -310,11 +316,16 @@ func (o Options) RunAll() []Comparison {
 // independent runs of every row first, then every row's Global(·)
 // searches — so a single GOMAXPROCS-bounded pool sees maximal
 // parallelism. Comparisons come back in catalog order regardless of the
-// worker count.
+// worker count. Each row's compound searches share one store per phase
+// (see rowStores), so every distinct sub-run of a row's searches runs
+// once.
 func (o Options) runAllOn(cat []workload.Benchmark) []Comparison {
+	var rows rowStores
 	var p1 []runner.Task[stats.Result]
 	for _, b := range cat {
-		p1 = append(p1, o.phase1Tasks(b)...)
+		p1 = append(p1, rows.scope(func(store *resultcache.Cache) []runner.Task[stats.Result] {
+			return o.phase1Tasks(b, store)
+		})...)
 	}
 	r1 := o.mapTasks(p1)
 
@@ -333,7 +344,9 @@ func (o Options) runAllOn(cat []workload.Benchmark) []Comparison {
 
 	var p2 []runner.Task[stats.Result]
 	for i := range cs {
-		p2 = append(p2, o.globalTasks(&cs[i])...)
+		p2 = append(p2, rows.scope(func(store *resultcache.Cache) []runner.Task[stats.Result] {
+			return o.globalTasks(&cs[i], store)
+		})...)
 	}
 	r2 := o.mapTasks(p2)
 	for i := range cs {
@@ -341,7 +354,49 @@ func (o Options) runAllOn(cat []workload.Benchmark) []Comparison {
 		cs[i].GlobalD1 = r2[i*3+1]
 		cs[i].GlobalD5 = r2[i*3+2]
 	}
+	if req := rows.misses + rows.hits; req > 0 {
+		o.logf("compound searches simulated %d of %d requested sub-runs\n", rows.misses, req)
+	}
 	return cs
+}
+
+// rowStores hands each grid row a memory-only result store for one
+// phase and sums the stores' counters as the rows finish.
+type rowStores struct {
+	mu           sync.Mutex
+	misses, hits uint64
+}
+
+// scope builds one row's tasks over a fresh store and wraps them so the
+// store lives only as long as the row: each wrapper lets go of its task
+// when it starts, and the row's last finisher adds the store's counters
+// to the tally and drops it. A grid-wide store would hold every result
+// to the end of the phase.
+func (s *rowStores) scope(build func(*resultcache.Cache) []runner.Task[stats.Result]) []runner.Task[stats.Result] {
+	store, _ := resultcache.New(resultcache.Options{}) // memory-only: cannot fail
+	tasks := build(store)
+	left := len(tasks)
+	finish := func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if left--; left == 0 {
+			st := store.Stats()
+			s.misses += st.Misses
+			s.hits += st.Hits()
+			store = nil
+		}
+	}
+	out := make([]runner.Task[stats.Result], len(tasks))
+	for i, t := range tasks {
+		run := t.Run
+		out[i] = runner.Task[stats.Result]{Name: t.Name, Run: func(ctx context.Context) (stats.Result, error) {
+			defer finish()
+			f := run
+			run = nil
+			return f(ctx)
+		}}
+	}
+	return out
 }
 
 // summarize reduces one configuration across benchmarks against a chosen

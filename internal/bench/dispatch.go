@@ -1,6 +1,10 @@
 package bench
 
-import "context"
+import (
+	"context"
+
+	"mcd/internal/resultcache"
+)
 
 // Cell is the wire-free description of one grid cell the Exec hook
 // receives: everything needed to re-execute the cell out of process,
@@ -24,6 +28,12 @@ type Cell struct {
 	// at the tier it was keyed under.
 	Fidelity    string `json:"fidelity,omitempty"`
 	SampleEvery int    `json:"sample_every,omitempty"`
+	// Store is the grid row's shared store for the sub-runs of a
+	// compound preparation (control.Run.Store), or nil. It is never
+	// encoded: a cell executed in this process shares its search's
+	// sub-runs with the rest of its row, one executed elsewhere does not,
+	// and both give the same result.
+	Store *resultcache.Cache `json:"-"`
 }
 
 // ExecFunc executes one grid cell out of process and returns its

@@ -190,8 +190,12 @@ func (o Options) SweepController(name, param string, values []float64, fixed map
 // choke point every cacheable grid cell passes through, so the fabric
 // dispatch hook plugged in here covers every table, figure and sweep:
 // with Exec configured, the cell is handed to the hook (content
-// address plus re-executable description) and the returned canonical
-// bytes are decoded in place of a local run.
+// address plus re-executable description, and the run's shared Store
+// for a preparation that runs in this process) and the returned
+// canonical bytes are decoded in place of a local run. Only the
+// preparation's sub-runs go through the Store: the cell's own run is
+// simulated whichever way the cell is executed, so a grid simulates the
+// same runs with and without Exec.
 func (o Options) controlTask(bench, label, ctrl string, p control.Params, res control.Resolved, run control.Run) runner.Task[stats.Result] {
 	compute := func() (stats.Result, error) {
 		spec, err := res.Spec(run)
@@ -203,6 +207,7 @@ func (o Options) controlTask(bench, label, ctrl string, p control.Params, res co
 	if o.Exec != nil {
 		if key, err := res.Key(run); err == nil {
 			cell := o.cell(label, bench, ctrl, key, p)
+			cell.Store = run.Store
 			return runner.Task[stats.Result]{Name: label, Run: func(ctx context.Context) (stats.Result, error) {
 				b, err := o.Exec(ctx, cell)
 				if err != nil {

@@ -63,7 +63,12 @@ func relErr(got, want float64) float64 {
 // matches) re-run their searches under each tier, so their differences
 // conflate search divergence with model bias and are reported only
 // through the Table 6 summaries. The options' Cache and Exec must be nil
-// — a cache hit would time a map lookup, not a simulation.
+// — a cache hit would time a map lookup, not a simulation. Each grid
+// still shares its compound searches' repeated sub-runs within a row
+// (runAllOn's row stores), as every grid does, so the speedup compares
+// the two grids' wall times, not the cost of one simulation at each
+// tier: the exact grid saves more time by the sharing than the sampled
+// one, which lowers the ratio a little.
 func (o Options) ValidateFidelity() FidelityReport {
 	if o.Cache != nil || o.Exec != nil {
 		panic("bench: ValidateFidelity needs Cache and Exec unset (timing would be meaningless)")

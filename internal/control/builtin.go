@@ -63,7 +63,7 @@ func init() {
 				Doc: "1: bisect the down-step toward the cap when every candidate overshoots (for compressed quick scales); 0: classic fixed-step search"},
 		},
 		Build: func(r Run, p Params) (sim.Spec, error) {
-			ctrl, _ := core.BuildOffline(r.Config, r.Profile, r.Window, offlineOpts(r, p))
+			ctrl, _ := core.BuildOffline(r.Config, r.Profile, r.Window, offlineOpts(r, p), r.Simulate)
 			spec := r.spec()
 			spec.Controller = ctrl
 			spec.InitialFreqMHz = ctrl.Initial()
@@ -91,7 +91,7 @@ func init() {
 		Build: func(r Run, p Params) (sim.Spec, error) {
 			base := p["base_ps"]
 			if base == 0 {
-				base = sim.Run(r.syncSpec(r.Config.MaxFreqMHz)).TimePS
+				base = r.Simulate(r.syncSpec(r.Config.MaxFreqMHz)).TimePS
 			}
 			// GlobalMatch's result is itself a synchronous run at the
 			// matched frequency, so re-running the returned spec is
@@ -99,9 +99,10 @@ func init() {
 			// pin). Build can only hand back a spec, so a cold cell pays
 			// one window-length run beyond the bisection's probes — the
 			// price of making Global(·) a content-addressed registry
-			// citizen; warm caches never pay it.
+			// citizen; warm caches never pay it. The probes go through
+			// r.Simulate, so searches sharing a Store share them.
 			freq, _ := core.GlobalMatchFidelity(r.Config, r.Profile, r.Window, r.Warmup, base, p["deg"], r.Name,
-				r.Fidelity, r.SampleEvery, r.IntervalLength)
+				r.Fidelity, r.SampleEvery, r.IntervalLength, r.Simulate)
 			return r.syncSpec(freq), nil
 		},
 		// The bisection is the expensive part; the content address is the

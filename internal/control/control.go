@@ -28,6 +28,7 @@ import (
 	"mcd/internal/pipeline"
 	"mcd/internal/resultcache"
 	"mcd/internal/sim"
+	"mcd/internal/stats"
 	"mcd/internal/workload"
 )
 
@@ -104,6 +105,43 @@ type Run struct {
 	// end to end and keyed apart from exact.
 	Fidelity    string
 	SampleEvery int
+	// Store, if non-nil, is shared by every run that goes through
+	// Simulate: the sub-runs of compound preparations (the off-line
+	// search's baseline and candidates, global matching's probes). A
+	// spec it already holds is not simulated again. Like
+	// OfflineOptions.Workers it is never key material: it never changes
+	// a result.
+	Store *resultcache.Cache
+}
+
+// Simulate runs one spec through the run's Store, or directly when there
+// is none. The store key is the spec with its Name cleared and
+// RecordIntervals set, so runs that differ only in label or recording
+// simulate once. Each caller gets its own view of the stored result:
+// Config is the caller's Name, and Intervals are dropped unless the
+// caller asked for them. Recording is observational (the registry tests
+// pin it), so the view is byte-identical to sim.Run(spec). Specs whose
+// key cannot be computed (opaque controllers) run directly.
+func (r Run) Simulate(spec sim.Spec) stats.Result {
+	if r.Store == nil {
+		return sim.Run(spec)
+	}
+	shared := spec
+	shared.Name = ""
+	shared.RecordIntervals = true
+	key, err := resultcache.SpecKey(shared)
+	if err != nil {
+		return sim.Run(spec)
+	}
+	res, _, err := r.Store.DoResult(key, func() (stats.Result, error) { return sim.Run(shared), nil })
+	if err != nil {
+		return sim.Run(spec)
+	}
+	res.Config = spec.Name
+	if !spec.RecordIntervals {
+		res.Intervals = nil
+	}
+	return res
 }
 
 // spec is the plain sim.Spec for the run, before any controller is

@@ -20,14 +20,19 @@ import (
 // degrade sublinearly in frequency, which is precisely why global scaling
 // saves so little energy per unit of slowdown (ratio ≈ 2).
 func GlobalMatch(cfg pipeline.Config, prof workload.Profile, window, warmup uint64, baseTime float64, targetDeg float64, name string) (float64, stats.Result) {
-	return GlobalMatchFidelity(cfg, prof, window, warmup, baseTime, targetDeg, name, "", 0, 0)
+	return GlobalMatchFidelity(cfg, prof, window, warmup, baseTime, targetDeg, name, "", 0, 0, nil)
 }
 
 // GlobalMatchFidelity is GlobalMatch with the bisection's probe runs
 // executed at the given fidelity tier ("" = exact), so a sampled request
 // pays sampled prices for the search. The exact-tier path is GlobalMatch
-// verbatim.
-func GlobalMatchFidelity(cfg pipeline.Config, prof workload.Profile, window, warmup uint64, baseTime float64, targetDeg float64, name, fidelity string, sampleEvery int, intervalLen uint64) (float64, stats.Result) {
+// verbatim. Every probe goes through run (nil means sim.Run), so a
+// caller can share probes between searches that visit the same
+// frequency; run must return sim.Run's result for the spec.
+func GlobalMatchFidelity(cfg pipeline.Config, prof workload.Profile, window, warmup uint64, baseTime float64, targetDeg float64, name, fidelity string, sampleEvery int, intervalLen uint64, run func(sim.Spec) stats.Result) (float64, stats.Result) {
+	if run == nil {
+		run = sim.Run
+	}
 	runAt := func(f float64) stats.Result {
 		spec := sim.SynchronousSpec(cfg, prof, window, warmup, f, name)
 		spec.Fidelity = fidelity
@@ -37,7 +42,7 @@ func GlobalMatchFidelity(cfg pipeline.Config, prof workload.Profile, window, war
 			// pipeline's default-length intervals unchanged.
 			spec.IntervalLength = intervalLen
 		}
-		return sim.Run(spec)
+		return run(spec)
 	}
 	scale := dvfs.DefaultScale()
 	lo, hi := 0, scale.Points()-1 // index 0 = 250 MHz, max index = 1000 MHz

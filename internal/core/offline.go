@@ -226,6 +226,11 @@ func refine(sched Schedule, cur, base stats.Result, deg float64, cfg pipeline.Co
 // target. It returns the controller and the baseline (all-max MCD) result
 // used as its reference.
 //
+// Every simulation goes through run (nil means sim.Run), so a caller can
+// share runs between searches: two targets over one workload profile the
+// same all-max baseline, and candidate schedules can repeat. run must
+// return sim.Run's result for the spec.
+//
 // Each refinement iteration proposes opts.Candidates variant schedules
 // (step factors spread by stepExponent) and evaluates them concurrently
 // through the runner pool, committing to the best: the lowest-energy
@@ -237,11 +242,14 @@ func refine(sched Schedule, cur, base stats.Result, deg float64, cfg pipeline.Co
 // shaker — it sees every interval of the whole run before choosing any
 // frequency, pays no reactive lag, and can therefore cap the dilation
 // tightly — without reimplementing the shaker's dependence-graph passes.
-func BuildOffline(cfg pipeline.Config, prof workload.Profile, window uint64, opts OfflineOptions) (*OfflineController, stats.Result) {
+func BuildOffline(cfg pipeline.Config, prof workload.Profile, window uint64, opts OfflineOptions, run func(sim.Spec) stats.Result) (*OfflineController, stats.Result) {
 	opts = opts.withDefaults()
+	if run == nil {
+		run = sim.Run
+	}
 	name := fmt.Sprintf("dynamic-%.0f%%", opts.TargetDeg*100)
 
-	base := sim.Run(sim.Spec{
+	base := run(sim.Spec{
 		Config: cfg, Profile: prof, Window: window, Warmup: opts.Warmup,
 		IntervalLength:  opts.IntervalLength,
 		RecordIntervals: true, Name: "mcd-baseline",
@@ -270,13 +278,15 @@ func BuildOffline(cfg pipeline.Config, prof workload.Profile, window uint64, opt
 			cands[k] = refine(sched, cur, base, deg, cfg, opts,
 				math.Pow(down, e), math.Pow(opts.StepUp, e))
 			ctrl := NewOfflineController(name, cands[k])
-			tasks[k] = runner.SpecTask(fmt.Sprintf("%s/cand%d", name, k), sim.Spec{
+			spec := sim.Spec{
 				Config: cfg, Profile: prof, Window: window, Warmup: opts.Warmup,
 				IntervalLength: opts.IntervalLength,
 				Controller:     ctrl, InitialFreqMHz: ctrl.Initial(),
 				RecordIntervals: true, Name: name,
 				Fidelity: opts.Fidelity, SampleEvery: opts.SampleEvery,
-			})
+			}
+			tasks[k] = runner.Task[stats.Result]{Name: fmt.Sprintf("%s/cand%d", name, k),
+				Run: func(context.Context) (stats.Result, error) { return run(spec), nil }}
 		}
 		outs, _ := runner.Map(context.Background(), tasks, runner.Options{Workers: opts.Workers})
 

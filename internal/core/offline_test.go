@@ -92,7 +92,7 @@ func TestBuildOfflineCandidatesDeterministic(t *testing.T) {
 		ctrl, base := BuildOffline(pipeline.DefaultConfig(), b.Profile, 20_000, OfflineOptions{
 			TargetDeg: 0.05, Iterations: 2, Warmup: 10_000, IntervalLength: 500,
 			Candidates: candidates, Workers: workers,
-		})
+		}, nil)
 		return ctrl.Initial(), base.TimePS
 	}
 
@@ -137,7 +137,7 @@ func TestAdaptiveStepMeetsCapAtQuickScale(t *testing.T) {
 		ctrl, base := BuildOffline(cfg, b.Profile, window, OfflineOptions{
 			TargetDeg: target, Warmup: warmup, IntervalLength: il,
 			AdaptiveStep: adaptive,
-		})
+		}, nil)
 		res := sim.Run(sim.Spec{
 			Config: cfg, Profile: b.Profile, Window: window, Warmup: warmup,
 			IntervalLength: il, Controller: ctrl, InitialFreqMHz: ctrl.Initial(),

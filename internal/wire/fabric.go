@@ -52,7 +52,9 @@ type FabricWelcome struct {
 // execute protocol. The request resolves to the same content address
 // the harness computed for the cell, so a fabric-computed cell lands
 // in the shared store under the key every other path probes (pinned by
-// TestCellRequestSharesAddress).
+// TestCellRequestSharesAddress). The cell's Store rides along so a
+// request prepared in this process shares its row's sub-runs; it is not
+// part of the encoding.
 func CellRequest(c bench.Cell) RunRequest {
 	warmup, interval, slew := c.Warmup, c.Interval, c.Slew
 	return RunRequest{
@@ -65,6 +67,7 @@ func CellRequest(c bench.Cell) RunRequest {
 		SlewNsPerMHz: &slew,
 		Fidelity:     c.Fidelity,
 		SampleEvery:  c.SampleEvery,
+		store:        c.Store,
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"mcd/internal/bench"
+	"mcd/internal/resultcache"
+	"mcd/internal/sim"
 	"mcd/internal/wire"
 )
 
@@ -47,5 +49,43 @@ func TestCellRequestSharesAddress(t *testing.T) {
 	}
 	if cells == 0 {
 		t.Fatal("Exec hook never fired — the grid bypassed dispatch")
+	}
+}
+
+// A grid whose cells go through the Exec hook to an in-process executor
+// simulates exactly the runs of the same grid computed locally: the
+// cell's row store rides in its request, so the compound searches share
+// their sub-runs either way, and the cells' own runs are simulated in
+// both. Benchmarks that compare a traced (dispatched) grid's simulated
+// instructions with an untraced one's depend on it.
+func TestDispatchedGridSimulatesTheSameRuns(t *testing.T) {
+	grid := func() bench.Options {
+		o := bench.QuickOptions()
+		o.Window, o.Warmup = 8_000, 4_000
+		o.Benchmarks = []string{"adpcm"}
+		o.Workers = 2
+		return o
+	}
+	i0 := sim.SimulatedInstructions()
+	want := bench.Table6(grid().RunAll())
+	local := sim.SimulatedInstructions() - i0
+
+	hooked := grid()
+	hooked.Exec = wire.ExecAdapter(func(_ context.Context, _ string, req wire.RunRequest) ([]byte, error) {
+		spec, err := req.Spec()
+		if err != nil {
+			return nil, err
+		}
+		return resultcache.EncodeResult(sim.Run(spec))
+	})
+	i0 = sim.SimulatedInstructions()
+	got := bench.Table6(hooked.RunAll())
+	dispatched := sim.SimulatedInstructions() - i0
+
+	if got != want {
+		t.Fatalf("dispatched grid renders differently:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if dispatched != local {
+		t.Errorf("dispatched grid simulated %d instructions, local grid %d", dispatched, local)
 	}
 }

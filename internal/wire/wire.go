@@ -69,6 +69,10 @@ type RunRequest struct {
 	// SampleEvery is the sampled tier's detailed-interval cadence; zero
 	// takes the default (10). Ignored at exact fidelity.
 	SampleEvery int `json:"sample_every,omitempty"`
+	// store is the experiment-grid row store a request built by
+	// CellRequest carries (bench.Cell.Store); decoded requests have
+	// none.
+	store *resultcache.Cache
 }
 
 // DefaultSlewNsPerMHz is the compressed-scale regulator slew a request
@@ -154,6 +158,7 @@ func (r RunRequest) controlRun() (control.Run, control.Resolved, error) {
 		Name:           r.ControllerName(),
 		Fidelity:       fid,
 		SampleEvery:    r.SampleEvery,
+		Store:          r.store,
 	}, res, nil
 }
 

@@ -308,7 +308,7 @@ type OfflineOptions = core.OfflineOptions
 // degradation cap. It returns the schedule controller and the baseline
 // MCD run it profiled.
 func BuildOffline(cfg Config, prof Profile, window uint64, opts OfflineOptions) (*core.OfflineController, Result) {
-	return core.BuildOffline(cfg, prof, window, opts)
+	return core.BuildOffline(cfg, prof, window, opts, nil)
 }
 
 // GlobalMatch finds the single global frequency at which the fully
