@@ -26,10 +26,10 @@
 //
 // With -journal DIR every submission is persisted before it is
 // acknowledged, and a restarted server replays whatever was queued or
-// running when the previous process died — byte-identical results by
-// the determinism contract (completed cells come straight from the
-// result cache). -client-quota N bounds the queued jobs one client (the
-// X-Client header, or the remote address) may hold at once.
+// running when the previous process died. The journal holds no result
+// bytes: a finished result outlives a restart only in -cache DIR, as a
+// hit. -client-quota N bounds the queued jobs one client (the X-Client
+// header, or the remote address) may hold at once.
 //
 // Observability:
 //

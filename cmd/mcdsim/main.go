@@ -92,14 +92,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var res mcd.Result
+	// With -live the stepped run prints every measured control interval
+	// the moment it is produced; the result bytes are the same either
+	// way.
+	enc := json.NewEncoder(os.Stdout)
+	var emit func(mcd.Interval)
 	if *live {
-		// The run is driven through a stepped session; every measured
-		// control interval is printed the moment it is produced. The
-		// result bytes are identical to a one-shot run by the session
-		// contract.
-		enc := json.NewEncoder(os.Stdout)
-		emit := func(iv mcd.Interval) {
+		emit = func(iv mcd.Interval) {
 			if *jsonOut {
 				enc.Encode(wire.IntervalFrame(&iv))
 				return
@@ -108,36 +107,24 @@ func main() {
 				iv.Index, iv.IPC, iv.FreqMHz[mcd.FrontEnd], iv.FreqMHz[mcd.Integer],
 				iv.FreqMHz[mcd.FloatingPoint], iv.FreqMHz[mcd.LoadStore])
 		}
-		body, _, err := req.RunStream(context.Background(), nil, emit)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcdsim: %v\n", err)
-			os.Exit(1)
-		}
-		if *jsonOut {
-			enc.Encode(wire.ResultFrame(body, false))
-			return
-		}
-		if res, err = resultcache.DecodeResult(body); err != nil {
-			fmt.Fprintf(os.Stderr, "mcdsim: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		var err error
-		res, err = req.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcdsim: %v\n", err)
-			os.Exit(1)
-		}
 	}
-
+	body, _, err := req.Run(context.Background(), nil, wire.RunHooks{Emit: emit})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mcdsim: %v\n", err)
+		os.Exit(1)
+	}
 	if *jsonOut {
-		b, err := resultcache.EncodeResult(res)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcdsim: %v\n", err)
-			os.Exit(1)
+		if *live {
+			enc.Encode(wire.ResultFrame(body, false))
+		} else {
+			os.Stdout.Write(body)
 		}
-		os.Stdout.Write(b)
 		return
+	}
+	res, err := resultcache.DecodeResult(body)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mcdsim: %v\n", err)
+		os.Exit(1)
 	}
 
 	bench, _ := mcd.LookupBenchmark(*benchName)

@@ -436,7 +436,7 @@ func Table6(cs []Comparison) string {
 
 // Headline computes the paper's abstract numbers: Attack/Decay vs the
 // baseline MCD processor and vs the conventional fully synchronous
-// processor.
+// processor. EPI and CPI print as signed changes, EDP as a signed gain.
 func Headline(cs []Comparison) string {
 	vsMCD := summarize(cs, func(c Comparison) stats.Result { return c.AD }, func(c Comparison) stats.Result { return c.MCDBase })
 	vsSync := summarize(cs, func(c Comparison) stats.Result { return c.AD }, func(c Comparison) stats.Result { return c.Sync })
@@ -444,10 +444,10 @@ func Headline(cs []Comparison) string {
 	mcdBase := summarize(cs, func(c Comparison) stats.Result { return c.MCDBase }, func(c Comparison) stats.Result { return c.Sync })
 
 	s := "Headline results (paper values in parentheses)\n"
-	s += fmt.Sprintf("  vs baseline MCD:       EPI -%.1f%% (19.0%%), CPI +%.1f%% (3.2%%), EDP +%.1f%% (16.7%%), ratio %.1f (4.6)\n",
-		vsMCD.EnergySavings*100, vsMCD.PerfDegradation*100, vsMCD.EDPImprovement*100, vsMCD.PowerPerfRatio)
-	s += fmt.Sprintf("  vs fully synchronous:  EPI -%.1f%% (17.5%%), CPI +%.1f%% (4.5%%), EDP +%.1f%% (13.8%%)\n",
-		vsSync.EnergySavings*100, vsSync.PerfDegradation*100, vsSync.EDPImprovement*100)
+	s += fmt.Sprintf("  vs baseline MCD:       EPI %+.1f%% (19.0%%), CPI %+.1f%% (3.2%%), EDP %+.1f%% (16.7%%), ratio %.1f (4.6)\n",
+		-vsMCD.EnergySavings*100, vsMCD.PerfDegradation*100, vsMCD.EDPImprovement*100, vsMCD.PowerPerfRatio)
+	s += fmt.Sprintf("  vs fully synchronous:  EPI %+.1f%% (17.5%%), CPI %+.1f%% (4.5%%), EDP %+.1f%% (13.8%%)\n",
+		-vsSync.EnergySavings*100, vsSync.PerfDegradation*100, vsSync.EDPImprovement*100)
 	if d1.EDPImprovement != 0 {
 		s += fmt.Sprintf("  A/D EDP vs Dynamic-1%% EDP: %.1f%% (85.5%%)\n", vsMCD.EDPImprovement/d1.EDPImprovement*100)
 	}

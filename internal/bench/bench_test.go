@@ -134,6 +134,29 @@ func TestRunComparisonProducesAllConfigs(t *testing.T) {
 	}
 }
 
+// TestHeadlineSigns: the headline prints signed changes, so a losing
+// Attack/Decay reads "EPI +10.0%" and "EDP -8.9%", never "--" or "+-",
+// while a winning one keeps its usual spelling.
+func TestHeadlineSigns(t *testing.T) {
+	res := func(timePS, energyPJ float64) stats.Result {
+		return stats.Result{Instructions: 1000, TimePS: timePS, EnergyPJ: energyPJ}
+	}
+	base := res(1000, 1000)
+	for _, tc := range []struct {
+		ad   stats.Result
+		want string
+	}{
+		{res(990, 1100), "vs baseline MCD:       EPI +10.0% (19.0%), CPI -1.0% (3.2%), EDP -8.9% (16.7%)"},
+		{res(1010, 900), "vs baseline MCD:       EPI -10.0% (19.0%), CPI +1.0% (3.2%), EDP +9.1% (16.7%)"},
+	} {
+		c := Comparison{Sync: base, MCDBase: base, AD: tc.ad, Dyn1: base, Dyn5: base, GlobalAD: base, GlobalD1: base, GlobalD5: base}
+		h := Headline([]Comparison{c})
+		if !strings.Contains(h, tc.want) || strings.Contains(h, "--") || strings.Contains(h, "+-") {
+			t.Errorf("headline does not contain %q with single signs:\n%s", tc.want, h)
+		}
+	}
+}
+
 func TestTraceEmitsFigureSeries(t *testing.T) {
 	to := TraceOptions{Options: tiny()}
 	to.Window = 100_000

@@ -399,7 +399,7 @@ func (c *Coordinator) Execute(ctx context.Context, key string, req wire.RunReque
 			remote = true
 		}
 		return b, err
-	})
+	}, nil)
 	if remote {
 		c.cache.NoteRemoteLoad()
 	}
@@ -451,7 +451,7 @@ func (c *Coordinator) executeFleet(ctx context.Context, key string, req wire.Run
 // localRun computes one spec on the coordinator itself, cancellable at
 // interval boundaries. No cache: the caller's DoBytes owns storage.
 func (c *Coordinator) localRun(ctx context.Context, req wire.RunRequest) ([]byte, error) {
-	body, _, err := req.RunStreamHooked(ctx, nil, wire.RunHooks{})
+	body, _, err := req.Run(ctx, nil, wire.RunHooks{})
 	return body, err
 }
 

@@ -145,7 +145,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.busy.Add(1)
 	defer w.busy.Add(-1)
-	body, hit, err := run.RunStreamHooked(r.Context(), w.o.Cache, wire.RunHooks{})
+	body, hit, err := run.Run(r.Context(), w.o.Cache, wire.RunHooks{})
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // cancelled by the coordinator (hedge loser); no response matters

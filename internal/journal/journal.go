@@ -12,6 +12,10 @@
 //	{"t":"submit","job":{"id":"j000001","kind":"run","client":"a","run":{...}}}
 //	{"t":"state","id":"j000001","state":"running"}
 //
+// Result bytes are never journaled: their one durable home is the
+// content-addressed result cache, where a resubmitted request finds
+// them when the cache has a disk tier.
+//
 // Append-only with per-record fsync means a crash can lose at most the
 // record being written; a torn trailing line is tolerated on replay.
 // Compaction — at open, and whenever the caller asks after enough
@@ -60,25 +64,9 @@ type Submit struct {
 type record struct {
 	T     string  `json:"t"`
 	Job   *Submit `json:"job,omitempty"`   // t=submit
-	ID    string  `json:"id,omitempty"`    // t=state, t=result
+	ID    string  `json:"id,omitempty"`    // t=state
 	State string  `json:"state,omitempty"` // t=state
-	Body  []byte  `json:"body,omitempty"`  // t=result (base64; exact bytes round-trip)
 }
-
-// CompletedJob is a finished job recovered from the journal: its
-// submission plus the exact result bytes it produced. The service
-// restores these as Done jobs so a restart does not lose results that
-// no cache tier could reproduce (uncacheable controllers, cache-less
-// servers).
-type CompletedJob struct {
-	Submit Submit
-	Body   []byte
-}
-
-// MaxResultBytes bounds one journaled result body — comfortably under
-// maxRecordBytes after base64 framing. Larger results are simply not
-// journaled (the job still completes; only replay-as-Done is lost).
-const MaxResultBytes = 1 << 20
 
 // Terminal states as the journal understands them: a job whose last
 // state record is one of these is never replayed and is dropped at the
@@ -94,12 +82,11 @@ func isTerminal(state string) bool { return terminalStates[state] }
 type Journal struct {
 	path string
 
-	mu        sync.Mutex
-	f         *os.File
-	pending   []Submit       // live jobs found at Open, submission order
-	completed []CompletedJob // done jobs with journaled results found at Open
-	terminal  int            // terminal state records appended since last compaction
-	closed    bool
+	mu       sync.Mutex
+	f        *os.File
+	pending  []Submit // live jobs found at Open, submission order
+	terminal int      // terminal state records appended since last compaction
+	closed   bool
 }
 
 // CompactEvery is how many terminal-state records may accumulate before
@@ -116,11 +103,11 @@ func Open(path string) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	pending, completed, err := replay(path)
+	pending, err := replay(path)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{path: path, pending: pending, completed: completed}
+	j := &Journal{path: path, pending: pending}
 	// Compact immediately: the replayed file may be mostly terminal
 	// history, and rewriting now means the new process starts from a log
 	// that is exactly its live set.
@@ -130,27 +117,26 @@ func Open(path string) (*Journal, error) {
 	return j, nil
 }
 
-// replay reads every well-formed record and reduces them to two sets:
-// the live submits (jobs with no terminal state record, in submission
-// order) and the completed jobs whose result bytes were journaled
-// (last terminal state "done" plus a result record). A torn trailing
+// replay reads every well-formed record and reduces them to the live
+// submits: jobs with no terminal state record, in submission order.
+// Records of any other type (such as the result records older logs
+// carry) are ignored and vanish at the compaction Open runs. A torn trailing
 // line (the crash interrupted an append) is skipped; a malformed line
 // elsewhere is skipped too rather than holding the whole log hostage —
 // the worst case is forgetting one job, never serving a corrupted one.
-func replay(path string) ([]Submit, []CompletedJob, error) {
+func replay(path string) ([]Submit, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil
+		return nil, nil
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
 	var (
-		order  []string
-		subs   = map[string]Submit{}
-		state  = map[string]string{}
-		bodies = map[string][]byte{}
+		order []string
+		subs  = map[string]Submit{}
+		state = map[string]string{}
 	)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), maxRecordBytes)
@@ -176,34 +162,25 @@ func replay(path string) ([]Submit, []CompletedJob, error) {
 			if isTerminal(rec.State) {
 				state[rec.ID] = rec.State
 			}
-		case "result":
-			if rec.ID != "" && len(rec.Body) > 0 && len(rec.Body) <= MaxResultBytes {
-				bodies[rec.ID] = rec.Body
-			}
 		}
 	}
 	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	byID := func(a, b string) bool {
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	var live []Submit
-	var done []CompletedJob
 	for _, id := range order {
-		switch {
-		case state[id] == "":
+		if state[id] == "" {
 			live = append(live, subs[id])
-		case state[id] == "done" && bodies[id] != nil:
-			done = append(done, CompletedJob{Submit: subs[id], Body: bodies[id]})
 		}
 	}
-	sort.SliceStable(live, func(a, b int) bool { return byID(live[a].ID, live[b].ID) })
-	sort.SliceStable(done, func(a, b int) bool { return byID(done[a].Submit.ID, done[b].Submit.ID) })
-	return live, done, nil
+	sort.SliceStable(live, func(a, b int) bool {
+		x, y := live[a].ID, live[b].ID
+		if len(x) != len(y) {
+			return len(x) < len(y)
+		}
+		return x < y
+	})
+	return live, nil
 }
 
 // maxRecordBytes bounds one journal line on replay. The largest
@@ -224,38 +201,9 @@ func (j *Journal) Pending() []Submit {
 	return j.pending
 }
 
-// Completed returns the finished jobs whose result bytes survived in
-// the journal at last open — the replay-as-Done set. Results live in
-// the log only until the next compaction (Open compacts immediately),
-// so the set covers completions since the previous restart, which is
-// exactly the window a crash can lose. The slice is the journal's own;
-// callers must not mutate it.
-func (j *Journal) Completed() []CompletedJob {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.completed
-}
-
 // Submit appends a job's submit record.
 func (j *Journal) Submit(s Submit) error {
 	return j.append(record{T: "submit", Job: &s})
-}
-
-// Result appends the completed result bytes for job id, so a restart
-// can replay the job as Done with the exact bytes it produced — the
-// persistence tier for results no cache could reproduce. Bodies over
-// MaxResultBytes are rejected.
-func (j *Journal) Result(id string, body []byte) error {
-	if j == nil {
-		return nil
-	}
-	if len(body) > MaxResultBytes {
-		return fmt.Errorf("journal: result body %d bytes exceeds the %d-byte bound", len(body), MaxResultBytes)
-	}
-	return j.append(record{T: "result", ID: id, Body: body})
 }
 
 // State appends a state transition for job id.

@@ -255,7 +255,7 @@ func (c *Cache) writeDisk(key string, b []byte) error {
 // computation), or "miss"; Compute brackets the leader's computation on
 // a miss; Store brackets the disk-tier persist (err non-nil on a failed
 // write — the result was still served). A nil *Obs is the untraced
-// path: DoBytesObserved then takes no timestamps at all, so observation
+// path: DoBytes then takes no timestamps at all, so observation
 // costs nothing unless requested.
 type Obs struct {
 	Probe   func(tier string, start, end time.Time)
@@ -277,23 +277,17 @@ func (o *Obs) probe(tier string, start time.Time) {
 // Disk I/O happens outside the cache lock, so slow storage never
 // serializes memory-tier traffic; a failed disk persist degrades the
 // disk tier (counted in Stats.WriteErrors) instead of failing the
-// computed request. A failed compute is not stored. On a nil cache it
-// simply computes.
-func (c *Cache) DoBytes(key string, compute func() ([]byte, error)) ([]byte, bool, error) {
-	return c.DoBytesObserved(key, compute, nil)
-}
-
-// DoBytesObserved is DoBytes with per-phase observation hooks (see
-// Obs); DoBytes is exactly DoBytesObserved with a nil *Obs.
-func (c *Cache) DoBytesObserved(key string, compute func() ([]byte, error), obs *Obs) ([]byte, bool, error) {
+// computed request. A failed compute is not stored. obs observes the
+// phases (see Obs); nil is the untraced path. On a nil cache it simply
+// computes: there is no probe, only obs's Compute bracket.
+func (c *Cache) DoBytes(key string, compute func() ([]byte, error), obs *Obs) ([]byte, bool, error) {
+	if c == nil {
+		b, err := observedCompute(compute, obs)
+		return b, false, err
+	}
 	var probeStart time.Time
 	if obs != nil {
 		probeStart = time.Now()
-	}
-	if c == nil {
-		obs.probe("miss", probeStart)
-		b, err := ObservedCompute(compute, obs)
-		return b, false, err
 	}
 	c.mu.Lock()
 	if b, ok := c.memGetLocked(key); ok {
@@ -313,7 +307,7 @@ func (c *Cache) DoBytesObserved(key string, compute func() ([]byte, error), obs 
 		// cancelled still fails with its own context error. (Each retry
 		// reports its own probe span: the retry is a real re-probe.)
 		if cl.err != nil && (errors.Is(cl.err, context.Canceled) || errors.Is(cl.err, context.DeadlineExceeded)) {
-			return c.DoBytesObserved(key, compute, obs)
+			return c.DoBytes(key, compute, obs)
 		}
 		obs.probe("dedup", probeStart)
 		return cl.b, cl.err == nil, cl.err
@@ -343,7 +337,7 @@ func (c *Cache) DoBytesObserved(key string, compute func() ([]byte, error), obs 
 		obs.probe("disk", probeStart)
 	} else {
 		obs.probe("miss", probeStart)
-		cl.b, cl.err = ObservedCompute(compute, obs)
+		cl.b, cl.err = observedCompute(compute, obs)
 	}
 
 	c.mu.Lock()
@@ -377,10 +371,9 @@ func (c *Cache) DoBytesObserved(key string, compute func() ([]byte, error), obs 
 	return cl.b, diskHit, cl.err
 }
 
-// ObservedCompute brackets compute with the Obs.Compute hook (nil-safe
-// on both obs and the hook) — the uncached path's share of the
-// observation surface.
-func ObservedCompute(compute func() ([]byte, error), obs *Obs) ([]byte, error) {
+// observedCompute brackets compute with the Obs.Compute hook (nil-safe
+// on both obs and the hook).
+func observedCompute(compute func() ([]byte, error), obs *Obs) ([]byte, error) {
 	if obs == nil || obs.Compute == nil {
 		return compute()
 	}
@@ -409,7 +402,7 @@ func (c *Cache) DoResult(key string, run func() (stats.Result, error)) (stats.Re
 		}
 		computed = &r
 		return EncodeResult(r)
-	})
+	}, nil)
 	if err != nil {
 		return stats.Result{}, hit, err
 	}

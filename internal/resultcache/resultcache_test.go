@@ -263,7 +263,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			b, _, err := c.DoBytes("k", compute)
+			b, _, err := c.DoBytes("k", compute, nil)
 			if err != nil {
 				t.Error(err)
 			}
@@ -304,7 +304,7 @@ func TestDiskStoreSurvivesProcessRestart(t *testing.T) {
 	}
 	var computes int
 	payload := []byte(`{"x":1}` + "\n")
-	if _, hit, _ := c1.DoBytes("k", func() ([]byte, error) { computes++; return payload, nil }); hit {
+	if _, hit, _ := c1.DoBytes("k", func() ([]byte, error) { computes++; return payload, nil }, nil); hit {
 		t.Fatal("unexpected hit on empty cache")
 	}
 	// Atomic write discipline: only the final file, no temp debris.
@@ -320,7 +320,7 @@ func TestDiskStoreSurvivesProcessRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, hit, err := c2.DoBytes("k", func() ([]byte, error) { computes++; return nil, nil })
+	b, hit, err := c2.DoBytes("k", func() ([]byte, error) { computes++; return nil, nil }, nil)
 	if err != nil || !hit || !bytes.Equal(b, payload) {
 		t.Fatalf("disk reload: hit=%v err=%v b=%q", hit, err, b)
 	}
@@ -354,7 +354,7 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	computes := 0
-	b, hit, err := c2.DoBytes("k", func() ([]byte, error) { computes++; return payload, nil })
+	b, hit, err := c2.DoBytes("k", func() ([]byte, error) { computes++; return payload, nil }, nil)
 	if err != nil || hit || computes != 1 || !bytes.Equal(b, payload) {
 		t.Fatalf("corrupt entry: b=%q hit=%v computes=%d err=%v", b, hit, computes, err)
 	}
@@ -405,13 +405,13 @@ func TestPanickingComputeDoesNotStrandFlight(t *testing.T) {
 				t.Fatal("panic did not propagate")
 			}
 		}()
-		c.DoBytes("k", func() ([]byte, error) { panic("boom") })
+		c.DoBytes("k", func() ([]byte, error) { panic("boom") }, nil)
 	}()
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b, hit, err := c.DoBytes("k", func() ([]byte, error) { return []byte("ok\n"), nil })
+		b, hit, err := c.DoBytes("k", func() ([]byte, error) { return []byte("ok\n"), nil }, nil)
 		if err != nil || hit || string(b) != "ok\n" {
 			t.Errorf("post-panic Do: b=%q hit=%v err=%v", b, hit, err)
 		}
@@ -452,7 +452,7 @@ func TestCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 			close(leaderStarted)
 			<-leaderAbort
 			return nil, context.Canceled
-		})
+		}, nil)
 		leaderDone <- err
 	}()
 	<-leaderStarted
@@ -462,7 +462,7 @@ func TestCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	go func() {
 		b, _, err := c.DoBytes("k", func() ([]byte, error) {
 			return []byte(`{"ok":true}` + "\n"), nil
-		})
+		}, nil)
 		followerBody = b
 		followerDone <- err
 	}()

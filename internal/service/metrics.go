@@ -16,17 +16,16 @@ import (
 type managerMetrics struct {
 	reg *metrics.Registry
 
-	submitted       *metrics.CounterVec // accepted submissions, by kind
-	rejected        *metrics.CounterVec // 429s, by reason: queue | quota | fleet
-	cancelled       *metrics.Counter
-	completed       *metrics.CounterVec // terminal jobs, by state: done | failed
-	gapFrames       *metrics.Counter    // interval records dropped past the log bound
-	journalErrors   *metrics.Counter
-	replayed        *metrics.Gauge
-	replayedResults *metrics.Gauge
-	runnerBusy      *metrics.GaugeVec
-	runnerMIPS      *metrics.GaugeVec
-	jobDuration     *metrics.HistogramVec // seconds, by phase: queue | run
+	submitted     *metrics.CounterVec // accepted submissions, by kind
+	rejected      *metrics.CounterVec // 429s, by reason: queue | quota | fleet
+	cancelled     *metrics.Counter
+	completed     *metrics.CounterVec // terminal jobs, by state: done | failed
+	gapFrames     *metrics.Counter    // interval records dropped past the log bound
+	journalErrors *metrics.Counter
+	replayed      *metrics.Gauge
+	runnerBusy    *metrics.GaugeVec
+	runnerMIPS    *metrics.GaugeVec
+	jobDuration   *metrics.HistogramVec // seconds, by phase: queue | run
 }
 
 // jobDurationBuckets are the fixed upper bounds of the job-duration
@@ -45,18 +44,17 @@ func newManagerMetrics(m *Manager, reg *metrics.Registry) *managerMetrics {
 		reg = metrics.New()
 	}
 	mm := &managerMetrics{
-		reg:             reg,
-		submitted:       reg.CounterVec("mcd_jobs_submitted_total", "Jobs accepted into the queue, by kind.", "kind"),
-		rejected:        reg.CounterVec("mcd_jobs_rejected_total", "Submissions rejected with 429, by reason: queue (depth exhausted), quota (per-client bound) or fleet (worker fleet saturated).", "reason"),
-		cancelled:       reg.Counter("mcd_jobs_cancelled_total", "Cancel requests accepted for known jobs."),
-		completed:       reg.CounterVec("mcd_jobs_completed_total", "Jobs that reached a terminal state, by state.", "state"),
-		gapFrames:       reg.Counter("mcd_stream_gap_frames_total", "Interval records dropped past the bounded per-job log and reported to lagging stream consumers as explicit gap frames."),
-		journalErrors:   reg.Counter("mcd_journal_errors_total", "Journal appends or compactions that failed; persistence degraded but the jobs still ran."),
-		replayed:        reg.Gauge("mcd_journal_replayed_jobs", "Jobs re-queued from the journal at the last startup."),
-		replayedResults: reg.Gauge("mcd_journal_replayed_results", "Completed jobs restored as Done from journaled result bytes at the last startup."),
-		runnerBusy:      reg.GaugeVec("mcd_runner_busy", "Whether the runner is executing a job (1) or idle (0).", "runner"),
-		runnerMIPS:      reg.GaugeVec("mcd_runner_sim_mips", "Simulated MIPS of the runner's most recent job; approximate when runners overlap (the instruction counter is process-wide).", "runner"),
-		jobDuration:     reg.HistogramVec("mcd_job_duration_seconds", "Job phase durations: queue (submission to start) and run (start to terminal).", "phase", jobDurationBuckets),
+		reg:           reg,
+		submitted:     reg.CounterVec("mcd_jobs_submitted_total", "Jobs accepted into the queue, by kind.", "kind"),
+		rejected:      reg.CounterVec("mcd_jobs_rejected_total", "Submissions rejected with 429, by reason: queue (depth exhausted), quota (per-client bound) or fleet (worker fleet saturated).", "reason"),
+		cancelled:     reg.Counter("mcd_jobs_cancelled_total", "Cancel requests accepted for known jobs."),
+		completed:     reg.CounterVec("mcd_jobs_completed_total", "Jobs that reached a terminal state, by state.", "state"),
+		gapFrames:     reg.Counter("mcd_stream_gap_frames_total", "Interval records dropped past the bounded per-job log and reported to lagging stream consumers as explicit gap frames."),
+		journalErrors: reg.Counter("mcd_journal_errors_total", "Journal appends or compactions that failed; persistence degraded but the jobs still ran."),
+		replayed:      reg.Gauge("mcd_journal_replayed_jobs", "Jobs re-queued from the journal at the last startup."),
+		runnerBusy:    reg.GaugeVec("mcd_runner_busy", "Whether the runner is executing a job (1) or idle (0).", "runner"),
+		runnerMIPS:    reg.GaugeVec("mcd_runner_sim_mips", "Simulated MIPS of the runner's most recent job; approximate when runners overlap (the instruction counter is process-wide).", "runner"),
+		jobDuration:   reg.HistogramVec("mcd_job_duration_seconds", "Job phase durations: queue (submission to start) and run (start to terminal).", "phase", jobDurationBuckets),
 	}
 	// Pre-touch the closed label sets so every scrape carries the full
 	// family shape from the first request on — a counter that has never

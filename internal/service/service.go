@@ -204,16 +204,6 @@ func New(opts Options) *Manager {
 	if replayed > 0 {
 		m.log.Info("journal replay re-queued interrupted jobs", "jobs", replayed)
 	}
-	results := 0
-	for _, cj := range opts.Journal.Completed() {
-		if m.restoreDone(cj) {
-			results++
-		}
-	}
-	m.met.replayedResults.Set(float64(results))
-	if results > 0 {
-		m.log.Info("journal replay restored completed results", "jobs", results)
-	}
 	for i := 0; i < opts.Runners; i++ {
 		m.wg.Add(1)
 		go m.runLoop(i)
@@ -351,8 +341,8 @@ func (m *Manager) execute(runner int, j *Job) {
 		return
 	}
 	// Persist before publishing: publishing Done wakes WaitResult, and a
-	// crash after a client has seen the result must not lose it.
-	m.journalResult(j, body)
+	// job a client has seen finish must not come back queued after a
+	// crash.
 	m.journalState(j, Done)
 	var finished time.Time
 	var hit bool
@@ -639,79 +629,6 @@ func (m *Manager) restore(sub journal.Submit) bool {
 	return true
 }
 
-// restoreDone restores one journaled completed job as a Done table
-// entry under its original ID, with the exact result bytes the
-// previous process produced — so a restart does not lose results no
-// cache tier could reproduce. The entry is unjournaled (sub nil): it
-// is already terminal on disk and ages out of the table normally.
-func (m *Manager) restoreDone(cj journal.CompletedJob) bool {
-	sub := cj.Submit
-	if sub.ID == "" || len(cj.Body) == 0 {
-		return false
-	}
-	seq := 0
-	if n, err := strconv.Atoi(strings.TrimPrefix(sub.ID, "j")); err == nil {
-		seq = n
-	}
-	task := ""
-	if sub.Run != nil {
-		task = sub.Run.Normalize().Benchmark + "/" + sub.Run.ControllerName()
-	}
-	now := time.Now()
-	jctx, jcancel := context.WithCancel(m.ctx)
-	j := &Job{
-		id: sub.ID, kind: sub.Kind, client: sub.Client,
-		state: Done, done: 1, total: 1, task: task,
-		result:  cj.Body,
-		created: now, started: now, finished: now,
-		ctx: jctx, cancel: jcancel, watch: make(chan struct{}),
-	}
-	m.mu.Lock()
-	if _, dup := m.jobs[j.id]; dup || j.id == "" {
-		m.mu.Unlock()
-		jcancel()
-		return false
-	}
-	if seq > m.seq {
-		m.seq = seq
-	}
-	m.jobs[j.id] = j
-	m.mu.Unlock()
-	jcancel() // already terminal; release the context immediately
-	m.noteTerminal(j.id)
-	return true
-}
-
-// journalResult persists the completed result bytes of a job whose
-// output nothing else can reproduce: runs with no result store behind
-// the manager, or runs whose controller has no content address (so the
-// store could never hold them). Addressable runs skip it — the result
-// cache's disk tier already owns those bytes.
-func (m *Manager) journalResult(j *Job, body []byte) {
-	if j.sub == nil || j.sub.Run == nil || m.ctx.Err() != nil {
-		return
-	}
-	if len(body) > journal.MaxResultBytes {
-		return
-	}
-	if m.opts.Cache != nil {
-		if _, err := j.sub.Run.Key(); err == nil {
-			return // content-addressed and stored: the cache replays it
-		}
-	}
-	m.mu.Lock()
-	jnl := m.jnl
-	m.mu.Unlock()
-	if jnl == nil {
-		return
-	}
-	if err := jnl.Result(j.id, body); err != nil {
-		m.log.Error("journal result append failed; persistence degraded",
-			"job", j.id, "error", err)
-		m.met.journalErrors.Inc()
-	}
-}
-
 // submitAs validates and enqueues one journaled submission on behalf of
 // client — the shared entry behind every Submit*As method.
 func (m *Manager) submitAs(client string, sub *journal.Submit) (*Job, error) {
@@ -722,19 +639,17 @@ func (m *Manager) submitAs(client string, sub *journal.Submit) (*Job, error) {
 	return m.enqueue(client, sub, kind, total, run)
 }
 
-// runRun is the run closure of a single-run job. It executes through
-// the stepped session (RunStream with no observer): byte-identical to
-// RunCachedBytes by the session contract, but the job's context is
-// consulted every control interval, so cancellation — DELETE, a
-// departed synchronous client, shutdown — aborts the simulation at the
-// next interval boundary instead of after the full window.
+// runRun is the run closure of a single-run job. wire's Run consults
+// the job's context every control interval, so cancellation — DELETE,
+// a departed synchronous client, shutdown — aborts the simulation at
+// the next interval boundary instead of after the full window.
 func (m *Manager) runRun(r wire.RunRequest) func(ctx context.Context, j *Job) ([]byte, error) {
 	return func(ctx context.Context, j *Job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		body, hit, dispatched, err := m.runOrDispatch(ctx, r, func() ([]byte, bool, error) {
-			return r.RunStreamHooked(ctx, m.opts.Cache, m.runHooks(j, r, nil))
+			return r.Run(ctx, m.opts.Cache, m.runHooks(j, r, nil))
 		})
 		if err != nil {
 			return nil, err
@@ -793,7 +708,7 @@ func (m *Manager) runStream(r wire.RunRequest) func(ctx context.Context, j *Job)
 		j.update(func(j *Job) {
 			j.task = r.Normalize().Benchmark + "/" + r.ControllerName()
 		})
-		body, hit, err := r.RunStreamHooked(ctx, m.opts.Cache, m.runHooks(j, r, j.pushInterval))
+		body, hit, err := r.Run(ctx, m.opts.Cache, m.runHooks(j, r, j.pushInterval))
 		if err != nil {
 			return nil, err
 		}
@@ -835,7 +750,7 @@ func (m *Manager) runBatch(reqs []wire.RunRequest) func(ctx context.Context, j *
 				Name: fmt.Sprintf("%s/%s", n.Benchmark, r.ControllerName()),
 				Do: func(tctx context.Context) (mcd.Result, error) {
 					b, _, dispatched, err := m.runOrDispatch(tctx, r, func() ([]byte, bool, error) {
-						return r.RunCachedBytes(m.opts.Cache)
+						return r.Run(tctx, m.opts.Cache, wire.RunHooks{})
 					})
 					if dispatched {
 						anyDispatched.Store(true)

@@ -39,7 +39,7 @@ func TestCellRequestSharesAddress(t *testing.T) {
 		mu.Lock()
 		cells++
 		mu.Unlock()
-		body, _, err := req.RunStreamHooked(ctx, nil, wire.RunHooks{})
+		body, _, err := req.Run(ctx, nil, wire.RunHooks{})
 		return body, err
 	})
 	got := bench.Table6(hooked.RunAll())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 
 	"mcd/internal/clock"
 	"mcd/internal/pipeline"
@@ -71,13 +72,12 @@ func GapFrame(n int) StreamFrame {
 	return StreamFrame{Type: FrameGap, Dropped: n}
 }
 
-// RunHooks bundles the optional observation points of RunStreamHooked.
-// Every hook may be nil; the zero value is an unobserved run. Hooks run
-// on the simulating goroutine and must be cheap relative to a control
+// RunHooks bundles the optional observation points of Run. Every hook
+// may be nil; the zero value is an unobserved run. Hooks run on the
+// simulating goroutine and must be cheap relative to a control
 // interval — the tracing layer records a fixed-size value per call.
 type RunHooks struct {
-	// Emit receives every measured control interval as it is produced
-	// (RunStream's observer).
+	// Emit receives every measured control interval as it is produced.
 	Emit func(stats.Interval)
 	// Cache observes the result-store phases of the request: probe
 	// outcome and tier, compute bracket, disk persist bracket.
@@ -91,23 +91,20 @@ type RunHooks struct {
 	Decide func(iv stats.Interval, chosen [clock.NumControllable]float64, note string)
 }
 
-// RunStream executes the request through a stepped simulation session,
-// calling emit with every measured control interval as it is produced,
-// and returns the canonical result body — byte-identical to
-// RunCachedBytes for the same request, so a completed streamed run
-// stores the same SpecKey → Result bytes as a one-shot run. A cache hit
-// (including joining an identical in-flight computation) returns the
-// stored bytes without simulating and emits nothing. Cancelling ctx
-// closes the session at the next interval boundary and returns
-// ctx.Err(); the partial result is discarded, never stored.
-func (r RunRequest) RunStream(ctx context.Context, c *resultcache.Cache, emit func(stats.Interval)) (body []byte, hit bool, err error) {
-	return r.RunStreamHooked(ctx, c, RunHooks{Emit: emit})
-}
-
-// RunStreamHooked is RunStream with the full observation surface (see
-// RunHooks); RunStream is exactly RunStreamHooked with only Emit set,
-// so the two share one execution contract and one byte-identity story.
-func (r RunRequest) RunStreamHooked(ctx context.Context, c *resultcache.Cache, h RunHooks) (body []byte, hit bool, err error) {
+// Run executes the request through a stepped simulation session and
+// returns the canonical result body — exactly what cmd/mcdsim computes
+// for the same flags, and a pure function of the request. Every
+// measured control interval goes to h.Emit as it is produced.
+//
+// The store rule lives here alone: a nil store computes directly,
+// without deriving a key; a request whose controller has no content
+// address (resultcache.ErrUncacheable) computes uncached; everything
+// else goes through c, where a hit (including joining an identical
+// in-flight computation) returns the stored bytes without simulating
+// and emits nothing. Cancelling ctx closes the session at the next
+// interval boundary and returns ctx.Err(); the partial result is
+// discarded, never stored.
+func (r RunRequest) Run(ctx context.Context, c *resultcache.Cache, h RunHooks) (body []byte, hit bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -145,13 +142,14 @@ func (r RunRequest) RunStreamHooked(ctx context.Context, c *resultcache.Cache, h
 		}
 		return resultcache.EncodeResult(ses.Close())
 	}
-	if c == nil {
-		body, err = resultcache.ObservedCompute(compute, h.Cache)
-		return body, false, err
+	key := ""
+	if c != nil {
+		key, err = res.Key(run)
+		if errors.Is(err, resultcache.ErrUncacheable) {
+			c = nil
+		} else if err != nil {
+			return nil, false, err
+		}
 	}
-	key, err := res.Key(run)
-	if err != nil {
-		return nil, false, err
-	}
-	return c.DoBytesObserved(key, compute, h.Cache)
+	return c.DoBytes(key, compute, h.Cache)
 }

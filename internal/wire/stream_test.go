@@ -9,6 +9,7 @@ import (
 	"mcd/internal/control"
 	"mcd/internal/pipeline"
 	"mcd/internal/resultcache"
+	"mcd/internal/sim"
 	"mcd/internal/stats"
 	"mcd/internal/workload"
 )
@@ -28,14 +29,18 @@ func streamReq() RunRequest {
 // non-streamed requests.
 func TestRunStreamMatchesOneShot(t *testing.T) {
 	req := streamReq()
-	want, _, err := req.RunCachedBytes(nil)
+	spec, err := req.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := resultcache.EncodeResult(sim.Run(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var frames []stats.Interval
-	got, hit, err := req.RunStream(context.Background(), nil, func(iv stats.Interval) {
+	got, hit, err := req.Run(context.Background(), nil, RunHooks{Emit: func(iv stats.Interval) {
 		frames = append(frames, iv)
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +70,7 @@ func TestRunStreamPopulatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := streamReq()
-	first, hit, err := req.RunStream(context.Background(), c, nil)
+	first, hit, err := req.Run(context.Background(), c, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func TestRunStreamPopulatesCache(t *testing.T) {
 		t.Error("cold cache reported a hit")
 	}
 	emitted := 0
-	second, hit, err := req.RunStream(context.Background(), c, func(stats.Interval) { emitted++ })
+	second, hit, err := req.Run(context.Background(), c, RunHooks{Emit: func(stats.Interval) { emitted++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +107,12 @@ func TestRunStreamCancelled(t *testing.T) {
 	req := streamReq()
 	ctx, cancel := context.WithCancel(context.Background())
 	frames := 0
-	_, _, err = req.RunStream(ctx, c, func(stats.Interval) {
+	_, _, err = req.Run(ctx, c, RunHooks{Emit: func(stats.Interval) {
 		frames++
 		if frames == 2 {
 			cancel()
 		}
-	})
+	}})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -8,6 +8,7 @@
 package wire
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -16,7 +17,6 @@ import (
 	"mcd/internal/pipeline"
 	"mcd/internal/resultcache"
 	"mcd/internal/sim"
-	"mcd/internal/stats"
 	"mcd/internal/workload"
 )
 
@@ -127,7 +127,7 @@ func (r RunRequest) Validate() error {
 // controlRun is the request's single validation and resolution point:
 // it checks the benchmark, reconciles the two controller spellings,
 // resolves the registry once, and builds the controller-independent
-// run description. Validate, Spec, Key and RunCachedBytes all derive
+// run description. Validate, Spec, Key and Run all derive
 // from it, so validation semantics live in exactly one place and the
 // hot serving path resolves the registry once per request.
 func (r RunRequest) controlRun() (control.Run, control.Resolved, error) {
@@ -183,43 +183,10 @@ func (r RunRequest) Key() (string, error) {
 	return res.Key(run)
 }
 
-// Run executes the request. It is a pure function of the request —
-// exactly what cmd/mcdsim computes for the same flags — which is what
-// makes the result cacheable under the request's Key.
-func (r RunRequest) Run() (stats.Result, error) {
-	spec, err := r.Spec()
-	if err != nil {
-		return stats.Result{}, err
-	}
-	return sim.Run(spec), nil
-}
-
-// RunCachedBytes executes the request through the result store and
-// returns only the canonical body — the hot serving path, which never
-// pays a decode: hit reports whether the bytes came from the cache (or
-// an in-flight identical computation) rather than a fresh simulation.
-// A nil cache always computes.
+// RunCachedBytes is Run with no context and no hooks — the call
+// perfbench's reference regeneration makes.
 func (r RunRequest) RunCachedBytes(c *resultcache.Cache) (body []byte, hit bool, err error) {
-	run, res, err := r.controlRun()
-	if err != nil {
-		return nil, false, err
-	}
-	compute := func() ([]byte, error) {
-		spec, err := res.Spec(run)
-		if err != nil {
-			return nil, err
-		}
-		return resultcache.EncodeResult(sim.Run(spec))
-	}
-	if c == nil {
-		body, err = compute()
-		return body, false, err
-	}
-	key, err := res.Key(run)
-	if err != nil {
-		return nil, false, err
-	}
-	return c.DoBytes(key, compute)
+	return r.Run(context.Background(), c, RunHooks{})
 }
 
 // ParseParams parses the CLI spelling of controller parameters —
