@@ -86,7 +86,8 @@ func main() {
 	}
 	// Reject unknown benchmark/controller/parameter values up front with
 	// the valid sets, before any simulation starts.
-	if err := req.Validate(); err != nil {
+	run, err := req.Resolve()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "mcdsim: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -108,7 +109,7 @@ func main() {
 				iv.FreqMHz[mcd.FloatingPoint], iv.FreqMHz[mcd.LoadStore])
 		}
 	}
-	body, _, err := req.Run(context.Background(), nil, wire.RunHooks{Emit: emit})
+	body, _, err := run.Run(context.Background(), nil, wire.RunHooks{Emit: emit})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mcdsim: %v\n", err)
 		os.Exit(1)

@@ -451,7 +451,11 @@ func (c *Coordinator) executeFleet(ctx context.Context, key string, req wire.Run
 // localRun computes one spec on the coordinator itself, cancellable at
 // interval boundaries. No cache: the caller's DoBytes owns storage.
 func (c *Coordinator) localRun(ctx context.Context, req wire.RunRequest) ([]byte, error) {
-	body, _, err := req.Run(ctx, nil, wire.RunHooks{})
+	run, err := req.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	body, _, err := run.Run(ctx, nil, wire.RunHooks{})
 	return body, err
 }
 

@@ -30,7 +30,11 @@ var small = wire.RunRequest{
 // localBytes computes the canonical single-process answer for req.
 func localBytes(t *testing.T, req wire.RunRequest) []byte {
 	t.Helper()
-	body, _, err := req.Normalize().Run(context.Background(), nil, wire.RunHooks{})
+	run, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _, err := run.Run(context.Background(), nil, wire.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,21 +127,18 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, `{"error":"bad execute body"}`, http.StatusBadRequest)
 		return
 	}
-	run := req.Run.Normalize()
-	if err := run.Validate(); err != nil {
+	run, err := req.Run.Resolve()
+	if err != nil {
 		http.Error(rw, `{"error":"invalid run"}`, http.StatusBadRequest)
 		return
 	}
-	if req.Key != "" {
-		// Re-derive the content address: a mismatch means the two
-		// processes resolve the spec differently (registry drift) and
-		// executing would silently poison the shared store. 4xx so the
-		// coordinator reports it instead of retrying fleet-wide.
-		key, err := run.Key()
-		if err != nil || key != req.Key {
-			http.Error(rw, `{"error":"spec key mismatch: coordinator/worker registry drift"}`, http.StatusUnprocessableEntity)
-			return
-		}
+	// Re-derive the content address: a mismatch means the two processes
+	// resolve the spec differently (registry drift) and executing would
+	// silently poison the shared store. 4xx so the coordinator reports
+	// it instead of retrying fleet-wide.
+	if req.Key != "" && run.Key != req.Key {
+		http.Error(rw, `{"error":"spec key mismatch: coordinator/worker registry drift"}`, http.StatusUnprocessableEntity)
+		return
 	}
 	w.busy.Add(1)
 	defer w.busy.Add(-1)

@@ -11,8 +11,9 @@ import (
 )
 
 // FuzzJournalReplay opens arbitrary bytes as a journal file. Open never
-// panics, the replayed live set holds unique, non-empty IDs, and
-// reopening the file Open just compacted yields the same live set.
+// panics, the replayed live set holds unique, non-empty IDs no higher
+// than LastID, and reopening the file Open just compacted yields the
+// same live set and the same LastID.
 func FuzzJournalReplay(f *testing.F) {
 	line := func(rec record) []byte {
 		b, err := json.Marshal(rec)
@@ -43,6 +44,9 @@ func FuzzJournalReplay(f *testing.F) {
 		`{"t":"result","id":"j000001","body":"eyJiZW5jaG1hcmsiOiJhZHBjbSJ9Cg=="}`+"\n"+
 			`{"t":"state","id":"j000001","state":"done"}`+"\n"...))
 	f.Add([]byte{})
+	f.Add(line(record{T: "mark", ID: "j000007"}))
+	f.Add(append(line(record{T: "mark", ID: "j000007"}), line(record{T: "submit", Job: &run})...))
+	f.Add(append(line(record{T: "submit", Job: &batch}), `{"t":"mark","id":""}`+"\n"+`{"t":"mark","id":"j0000010"}`+"\n"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "jobs.ndjson")
@@ -53,12 +57,15 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		first := j.Pending()
+		first, last := j.Pending(), j.LastID()
 		j.Close()
 		seen := map[string]bool{}
 		for _, s := range first {
 			if s.ID == "" || seen[s.ID] {
 				t.Fatalf("Pending() holds an empty or repeated ID %q", s.ID)
+			}
+			if IDLess(last, s.ID) {
+				t.Fatalf("Pending() holds ID %q above LastID %q", s.ID, last)
 			}
 			seen[s.ID] = true
 		}
@@ -74,6 +81,9 @@ func FuzzJournalReplay(f *testing.F) {
 		b, _ := json.Marshal(j2.Pending())
 		if !bytes.Equal(a, b) {
 			t.Fatalf("reopened Pending() differs:\nfirst:  %s\nreopen: %s", a, b)
+		}
+		if got := j2.LastID(); got != last {
+			t.Fatalf("reopened LastID %q, first %q", got, last)
 		}
 	})
 }

@@ -11,6 +11,10 @@
 //
 //	{"t":"submit","job":{"id":"j000001","kind":"run","client":"a","run":{...}}}
 //	{"t":"state","id":"j000001","state":"running"}
+//	{"t":"mark","id":"j000007"}
+//
+// A mark record keeps the highest job ID the log ever held (LastID)
+// through a compaction that drops that job.
 //
 // Result bytes are never journaled: their one durable home is the
 // content-addressed result cache, where a resubmitted request finds
@@ -32,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -64,8 +69,17 @@ type Submit struct {
 type record struct {
 	T     string  `json:"t"`
 	Job   *Submit `json:"job,omitempty"`   // t=submit
-	ID    string  `json:"id,omitempty"`    // t=state
+	ID    string  `json:"id,omitempty"`    // t=state, t=mark
 	State string  `json:"state,omitempty"` // t=state
+}
+
+// IDLess orders job IDs by (length, string): the submission order of
+// the service's zero-padded sequence IDs, even past a million jobs.
+func IDLess(x, y string) bool {
+	if len(x) != len(y) {
+		return len(x) < len(y)
+	}
+	return x < y
 }
 
 // Terminal states as the journal understands them: a job whose last
@@ -85,6 +99,7 @@ type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
 	pending  []Submit // live jobs found at Open, submission order
+	last     string   // highest job ID the log ever held (IDLess order)
 	terminal int      // terminal state records appended since last compaction
 	closed   bool
 }
@@ -103,11 +118,11 @@ func Open(path string) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	pending, err := replay(path)
+	pending, last, err := replay(path)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{path: path, pending: pending}
+	j := &Journal{path: path, pending: pending, last: last}
 	// Compact immediately: the replayed file may be mostly terminal
 	// history, and rewriting now means the new process starts from a log
 	// that is exactly its live set.
@@ -118,19 +133,20 @@ func Open(path string) (*Journal, error) {
 }
 
 // replay reads every well-formed record and reduces them to the live
-// submits: jobs with no terminal state record, in submission order.
+// submits — jobs with no terminal state record, in submission order —
+// and the highest job ID any submit or mark record names.
 // Records of any other type (such as the result records older logs
 // carry) are ignored and vanish at the compaction Open runs. A torn trailing
 // line (the crash interrupted an append) is skipped; a malformed line
 // elsewhere is skipped too rather than holding the whole log hostage —
 // the worst case is forgetting one job, never serving a corrupted one.
-func replay(path string) ([]Submit, error) {
+func replay(path string) (live []Submit, last string, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+		return nil, "", nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, "", fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
 	var (
@@ -158,6 +174,13 @@ func replay(path string) ([]Submit, error) {
 				order = append(order, rec.Job.ID)
 			}
 			subs[rec.Job.ID] = *rec.Job
+			if IDLess(last, rec.Job.ID) {
+				last = rec.Job.ID
+			}
+		case "mark":
+			if IDLess(last, rec.ID) {
+				last = rec.ID
+			}
 		case "state":
 			if isTerminal(rec.State) {
 				state[rec.ID] = rec.State
@@ -165,22 +188,15 @@ func replay(path string) ([]Submit, error) {
 		}
 	}
 	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, "", fmt.Errorf("journal: %w", err)
 	}
-	var live []Submit
 	for _, id := range order {
 		if state[id] == "" {
 			live = append(live, subs[id])
 		}
 	}
-	sort.SliceStable(live, func(a, b int) bool {
-		x, y := live[a].ID, live[b].ID
-		if len(x) != len(y) {
-			return len(x) < len(y)
-		}
-		return x < y
-	})
-	return live, nil
+	sort.SliceStable(live, func(a, b int) bool { return IDLess(live[a].ID, live[b].ID) })
+	return live, last, nil
 }
 
 // maxRecordBytes bounds one journal line on replay. The largest
@@ -199,6 +215,17 @@ func (j *Journal) Pending() []Submit {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.pending
+}
+
+// LastID returns the highest job ID the log ever held, across
+// compactions and restarts ("" for none).
+func (j *Journal) LastID() string {
+	if j == nil {
+		return ""
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.last
 }
 
 // Submit appends a job's submit record.
@@ -258,6 +285,9 @@ func (j *Journal) append(rec record) error {
 	if j.closed {
 		return errors.New("journal: closed")
 	}
+	if rec.Job != nil && IDLess(j.last, rec.Job.ID) {
+		j.last = rec.Job.ID
+	}
 	if j.f == nil {
 		f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -274,8 +304,9 @@ func (j *Journal) append(rec record) error {
 	return nil
 }
 
-// rewrite atomically replaces the log with the given submit records:
-// temp file in the same directory, fsync, rename over the log, fsync
+// rewrite atomically replaces the log with the given submit records,
+// plus a mark record when the highest ID is not among them: temp file in
+// the same directory, fsync, rename over the log, fsync
 // the directory — the same discipline as the result cache's disk tier,
 // so a crash mid-compaction leaves either the old complete log or the
 // new one, never a mix.
@@ -290,10 +321,16 @@ func (j *Journal) rewrite(live []Submit) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	w := bufio.NewWriter(tmp)
+	recs := make([]record, 0, len(live)+1)
 	for i := range live {
-		s := live[i]
-		b, err := json.Marshal(record{T: "submit", Job: &s})
+		recs = append(recs, record{T: "submit", Job: &live[i]})
+	}
+	if j.last != "" && !slices.ContainsFunc(live, func(s Submit) bool { return s.ID == j.last }) {
+		recs = append(recs, record{T: "mark", ID: j.last})
+	}
+	w := bufio.NewWriter(tmp)
+	for _, rec := range recs {
+		b, err := json.Marshal(rec)
 		if err == nil {
 			_, err = w.Write(append(b, '\n'))
 		}

@@ -39,7 +39,7 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	want := make([][]byte, len(reqs))
 	ref := New(Options{Runners: 1})
 	for i, r := range reqs {
-		j, err := ref.SubmitRun(r)
+		j, err := ref.SubmitRunAs("", resolve(t, r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	ids := make([]string, len(reqs))
 	jobs := make([]*Job, len(reqs))
 	for i, r := range reqs {
-		j, err := m.SubmitRunAs("crash-client", r)
+		j, err := m.SubmitRunAs("crash-client", resolve(t, r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	if !strings.Contains(scrape.String(), "mcd_journal_replayed_jobs 3") {
 		t.Errorf("scrape missing replay gauge:\n%s", scrape.String())
 	}
-	j4, err := m2.SubmitRun(quickA)
+	j4, err := m2.SubmitRunAs("", resolve(t, quickA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestUserCancelDoesNotResurrect(t *testing.T) {
 	}
 	waitState(t, running, Running)
 
-	victim, err := m.SubmitRunAs("alice", wire.RunRequest{Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)})
+	victim, err := m.SubmitRunAs("alice", resolve(t, wire.RunRequest{Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)}))
 	if err != nil {
 		t.Fatal(err)
 	}

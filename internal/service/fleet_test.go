@@ -91,7 +91,7 @@ func TestJournalHoldsNoResults(t *testing.T) {
 	}
 	m := New(Options{Runners: 1, Journal: jnl})
 	req := wire.RunRequest{Benchmark: "adpcm", Config: "attack-decay", Window: 8_000, Warmup: wire.U64(4_000)}
-	j, err := m.SubmitRun(req)
+	j, err := m.SubmitRunAs("", resolve(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,12 +129,17 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, j.Snapshot())
 		return
 	}
+	run, err := p.RunRequest.Resolve()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	if p.Async {
 		submit := m.SubmitRunAs
 		if p.Stream {
 			submit = m.SubmitStreamAs
 		}
-		j, err := submit(clientID(r), p.RunRequest)
+		j, err := submit(clientID(r), run)
 		if err != nil {
 			writeSubmitError(m, w, err)
 			return
@@ -143,22 +148,20 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if p.Stream {
-		handleStreamRun(m, w, r, p.RunRequest)
+		handleStreamRun(m, w, r, run)
 		return
 	}
 	// Synchronous: a stored result is served straight from the cache —
 	// a hash lookup, never queued behind running experiments. Only a
 	// miss costs a job, so the concurrency/queue bounds apply exactly
 	// to the requests that simulate.
-	if key, err := p.RunRequest.Key(); err == nil {
-		if body, ok := m.Cache().GetBytes(key); ok {
-			w.Header().Set("X-Cache", "hit")
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(body)
-			return
-		}
+	if body, ok := probe(m, run); ok {
+		w.Header().Set("X-Cache", "hit")
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+		return
 	}
-	j, err := m.SubmitRunAs(clientID(r), p.RunRequest)
+	j, err := m.SubmitRunAs(clientID(r), run)
 	if err != nil {
 		writeSubmitError(m, w, err)
 		return
@@ -195,22 +198,16 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 // end with zero interval frames and a "cache":"hit" result. A client
 // that disconnects cancels the job, which closes the stepped session
 // at the next interval boundary.
-func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, req wire.RunRequest) {
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, run wire.Resolved) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	if key, err := req.Key(); err == nil {
-		if body, ok := m.Cache().GetBytes(key); ok {
-			w.Header().Set("X-Cache", "hit")
-			enc.Encode(wire.ResultFrame(body, true))
-			return
-		}
+	if body, ok := probe(m, run); ok {
+		w.Header().Set("X-Cache", "hit")
+		enc.Encode(wire.ResultFrame(body, true))
+		return
 	}
-	j, err := m.SubmitStreamAs(clientID(r), req)
+	j, err := m.SubmitStreamAs(clientID(r), run)
 	if err != nil {
 		w.Header().Del("Content-Type")
 		writeSubmitError(m, w, err)
@@ -260,6 +257,15 @@ func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, req wir
 			return
 		}
 	}
+}
+
+// probe looks a run up in the manager's store; a run with no content
+// address is never stored, so it is not probed.
+func probe(m *Manager, run wire.Resolved) ([]byte, bool) {
+	if run.Key == "" {
+		return nil, false
+	}
+	return m.Cache().GetBytes(run.Key)
 }
 
 // errTracingDisabled answers trace requests on an untraced server.

@@ -10,10 +10,31 @@ import (
 	"testing"
 	"time"
 
+	"mcd/internal/journal"
 	"mcd/internal/resultcache"
 	"mcd/internal/stats"
 	"mcd/internal/wire"
 )
+
+// enqueue admits a hand-made job closure, as the queue tests need.
+func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total int, run func(ctx context.Context, j *Job) ([]byte, error)) (*Job, error) {
+	return m.admit(client, sub, &Job{kind: kind, total: total, run: run})
+}
+
+// submit enqueues an anonymous, unjournaled job closure.
+func (m *Manager) submit(kind string, total int, run func(ctx context.Context, j *Job) ([]byte, error)) (*Job, error) {
+	return m.enqueue("", nil, kind, total, run)
+}
+
+// resolve resolves a request a test knows to be valid.
+func resolve(t *testing.T, r wire.RunRequest) wire.Resolved {
+	t.Helper()
+	v, err := r.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
 
 // blockingJob submits a job that parks until release is closed,
 // pinning the single runner so queue behaviour is deterministic.

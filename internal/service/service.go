@@ -194,6 +194,11 @@ func New(opts Options) *Manager {
 	if m.log == nil {
 		m.log = slog.New(slog.DiscardHandler)
 	}
+	// IDs continue past every ID the journal ever held, so a client
+	// still holding a finished job's ID never reads a new job under it.
+	if n, err := strconv.Atoi(strings.TrimPrefix(opts.Journal.LastID(), "j")); err == nil {
+		m.seq = n
+	}
 	replayed := 0
 	for _, sub := range opts.Journal.Pending() {
 		if m.restore(sub) {
@@ -298,7 +303,7 @@ func (m *Manager) execute(runner int, j *Job) {
 	})
 	m.met.jobDuration.With("queue").Observe(started.Sub(created).Seconds())
 	if m.tracing() {
-		m.addTrace(j, spanRec("queue", j.Key(), "", created, started))
+		m.addTrace(j, spanRec("queue", j.key, "", created, started))
 	}
 	m.log.Debug("job started", "job", j.id, "kind", j.kind, "runner", runner,
 		"queue_wait", started.Sub(created))
@@ -331,7 +336,7 @@ func (m *Manager) execute(runner int, j *Job) {
 	m.noteLatency(dur)
 	m.met.jobDuration.With("run").Observe(dur.Seconds())
 	if m.tracing() {
-		m.addTrace(j, spanRec("execute", j.Key(), "", start, start.Add(dur)))
+		m.addTrace(j, spanRec("execute", j.key, "", start, start.Add(dur)))
 	}
 	if err == nil {
 		err = j.ctx.Err() // a cancelled job that limped to a result still failed
@@ -356,7 +361,7 @@ func (m *Manager) execute(runner int, j *Job) {
 		m.addTrace(j, instantRec("done", finished))
 	}
 	m.log.Info("job done", "job", j.id, "kind", j.kind, "dur", dur,
-		"cache_hit", hit, "spec_key", j.Key())
+		"cache_hit", hit, "spec_key", j.key)
 	m.met.completed.With(string(Done)).Inc()
 }
 
@@ -426,16 +431,22 @@ func (m *Manager) RetryAfter() time.Duration {
 	return time.Duration(math.Ceil(secs)) * time.Second
 }
 
-// submit registers and enqueues an anonymous, unjournaled job; kind and
-// total label it, run produces the result body.
-func (m *Manager) submit(kind string, total int, run func(ctx context.Context, j *Job) ([]byte, error)) (*Job, error) {
-	return m.enqueue("", nil, kind, total, run)
+// queue gives a job built by jobFor or runJob (its kind, total, key
+// and run closure) its queue identity and state; its context is a child
+// of the manager's.
+func (m *Manager) queue(j *Job, id, client string, sub *journal.Submit) {
+	j.id, j.client, j.sub = id, client, sub
+	j.state, j.created, j.watch = Queued, time.Now(), make(chan struct{})
+	j.ctx, j.cancel = context.WithCancel(m.ctx)
+	if m.tracing() {
+		j.trc = trace.NewRing(maxJobTraceRecords)
+	}
 }
 
-// enqueue registers and enqueues a job. A non-empty client is charged
+// admit registers and enqueues a job. A non-empty client is charged
 // against the per-client quota; a non-nil sub is persisted to the
 // journal (its ID is filled in here) so the job survives a crash.
-func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total int, run func(ctx context.Context, j *Job) ([]byte, error)) (*Job, error) {
+func (m *Manager) admit(client string, sub *journal.Submit, j *Job) (*Job, error) {
 	// The admission gate runs before any state is taken: fleet-wide
 	// backpressure (the fabric's saturation signal) rejects here, so a
 	// saturated fleet sheds load at the front door instead of queueing
@@ -446,12 +457,10 @@ func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total
 			return nil, err
 		}
 	}
-	jctx, jcancel := context.WithCancel(m.ctx)
 	m.mu.Lock()
 	if m.closed || len(m.pending) >= m.opts.QueueDepth {
 		closed := m.closed
 		m.mu.Unlock()
-		jcancel()
 		if closed {
 			return nil, errors.New("service: manager closed")
 		}
@@ -467,28 +476,12 @@ func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total
 		}
 		if queued >= m.opts.ClientQuota {
 			m.mu.Unlock()
-			jcancel()
 			m.met.rejected.With("quota").Inc()
 			return nil, fmt.Errorf("%w: client %q already holds %d queued jobs", ErrQuota, client, queued)
 		}
 	}
 	m.seq++
-	j := &Job{
-		id:      fmt.Sprintf("j%06d", m.seq),
-		kind:    kind,
-		client:  client,
-		sub:     sub,
-		state:   Queued,
-		total:   total,
-		created: time.Now(),
-		ctx:     jctx,
-		cancel:  jcancel,
-		watch:   make(chan struct{}),
-		run:     run,
-	}
-	if m.tracing() {
-		j.trc = trace.NewRing(maxJobTraceRecords)
-	}
+	m.queue(j, fmt.Sprintf("j%06d", m.seq), client, sub)
 	if sub != nil {
 		sub.ID = j.id
 		sub.Client = client
@@ -502,8 +495,8 @@ func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total
 	if m.tracing() {
 		m.addTrace(j, instantRec("submit", j.created))
 	}
-	m.log.Info("job submitted", "job", j.id, "kind", kind, "client", client)
-	m.met.submitted.With(kindLabel(kind)).Inc()
+	m.log.Info("job submitted", "job", j.id, "kind", j.kind, "client", client)
+	m.met.submitted.With(kindLabel(j.kind)).Inc()
 	// The fsync happens outside the queue lock: a slow disk delays this
 	// submitter's acknowledgement, never the runner pool. A failed
 	// append degrades persistence (counted, job still runs) rather than
@@ -526,232 +519,167 @@ func kindLabel(kind string) string {
 	return kind
 }
 
-// jobFor reconstructs a journaled submission into its executable form:
-// the display kind, the progress total, and the run closure. It is the
-// single translation both live submissions and journal replay use, so a
-// replayed job is — by construction — the same computation its original
-// submission described.
-func (m *Manager) jobFor(sub *journal.Submit) (kind string, total int, run func(ctx context.Context, j *Job) ([]byte, error), err error) {
+// jobFor resolves a journaled submission into an unqueued job: its
+// kind, total, key and run closure. It is the trust boundary of journal
+// replay and of the batch and experiment submissions, so a replayed job
+// is — by construction — the same computation its original submission
+// described.
+func (m *Manager) jobFor(sub *journal.Submit) (*Job, error) {
 	switch sub.Kind {
-	case journal.KindRun:
+	case journal.KindRun, journal.KindStream:
 		if sub.Run == nil {
-			return "", 0, nil, errors.New("service: run submission without a request")
+			return nil, fmt.Errorf("service: %s submission without a request", sub.Kind)
 		}
-		if err := sub.Run.Validate(); err != nil {
-			return "", 0, nil, err
+		r, err := sub.Run.Resolve()
+		if err != nil {
+			return nil, err
 		}
-		return "run", 1, m.runRun(*sub.Run), nil
-	case journal.KindStream:
-		if sub.Run == nil {
-			return "", 0, nil, errors.New("service: stream submission without a request")
-		}
-		if err := sub.Run.Validate(); err != nil {
-			return "", 0, nil, err
-		}
-		return "stream", 1, m.runStream(*sub.Run), nil
+		return m.runJob(sub.Kind, r), nil
 	case journal.KindBatch:
 		if len(sub.Runs) == 0 {
-			return "", 0, nil, errors.New("service: empty batch")
+			return nil, errors.New("service: empty batch")
 		}
 		if len(sub.Runs) > maxBatchRuns {
-			return "", 0, nil, fmt.Errorf("service: batch of %d runs exceeds the %d-run bound", len(sub.Runs), maxBatchRuns)
+			return nil, fmt.Errorf("service: batch of %d runs exceeds the %d-run bound", len(sub.Runs), maxBatchRuns)
 		}
+		rs := make([]wire.Resolved, len(sub.Runs))
 		for i, r := range sub.Runs {
-			if err := r.Validate(); err != nil {
-				return "", 0, nil, fmt.Errorf("run %d: %w", i, err)
+			var err error
+			if rs[i], err = r.Resolve(); err != nil {
+				return nil, fmt.Errorf("run %d: %w", i, err)
 			}
 		}
-		return "batch", len(sub.Runs), m.runBatch(sub.Runs), nil
+		return &Job{kind: "batch", total: len(rs), run: m.runBatch(rs)}, nil
 	case journal.KindExperiment:
 		if sub.Experiment == nil {
-			return "", 0, nil, errors.New("service: experiment submission without a request")
+			return nil, errors.New("service: experiment submission without a request")
 		}
 		if err := sub.Experiment.Validate(); err != nil {
-			return "", 0, nil, err
+			return nil, err
 		}
-		return "experiment:" + sub.Experiment.Name, 0, m.runExperiment(*sub.Experiment), nil
+		return &Job{kind: "experiment:" + sub.Experiment.Name, run: m.runExperiment(*sub.Experiment)}, nil
 	}
-	return "", 0, nil, fmt.Errorf("service: unknown journaled job kind %q", sub.Kind)
+	return nil, fmt.Errorf("service: unknown journaled job kind %q", sub.Kind)
 }
 
-// restore re-queues one journaled job under its original ID, reporting
-// whether it was re-queued. A submission that no longer validates (the
-// registry changed across the restart) lands in the table as Failed —
-// visible to its watchers, dropped at the next compaction — instead of
-// blocking startup.
+// restore re-queues one journaled job under its original ID (replay
+// yields unique, non-empty IDs), reporting whether it was re-queued. A
+// submission that no longer validates (the registry changed across the
+// restart) lands in the table as Failed — visible to its watchers,
+// dropped at the next compaction — instead of blocking startup.
 func (m *Manager) restore(sub journal.Submit) bool {
-	seq := 0
-	if n, err := strconv.Atoi(strings.TrimPrefix(sub.ID, "j")); err == nil {
-		seq = n
+	j, err := m.jobFor(&sub)
+	if err != nil {
+		j = &Job{kind: sub.Kind}
 	}
-	kind, total, run, ferr := m.jobFor(&sub)
-	jctx, jcancel := context.WithCancel(m.ctx)
-	j := &Job{
-		id:      sub.ID,
-		kind:    kind,
-		client:  sub.Client,
-		sub:     &sub,
-		state:   Queued,
-		total:   total,
-		created: time.Now(),
-		ctx:     jctx,
-		cancel:  jcancel,
-		watch:   make(chan struct{}),
-		run:     run,
-	}
-	if m.tracing() {
-		j.trc = trace.NewRing(maxJobTraceRecords)
-	}
-	if ferr != nil {
-		j.kind = sub.Kind
-	}
+	m.queue(j, sub.ID, sub.Client, &sub)
 	m.mu.Lock()
-	if _, dup := m.jobs[j.id]; dup || j.id == "" {
-		m.mu.Unlock()
-		jcancel()
-		return false
-	}
-	if seq > m.seq {
-		m.seq = seq
-	}
 	m.jobs[j.id] = j
-	if ferr == nil {
+	if err == nil {
 		m.pending = append(m.pending, j)
-		m.cond.Signal()
 	}
 	m.mu.Unlock()
-	if ferr != nil {
-		jcancel()
-		m.failJob(j, fmt.Errorf("journal replay: %w", ferr))
+	if err != nil {
+		j.cancel()
+		m.failJob(j, fmt.Errorf("journal replay: %w", err))
 		m.noteTerminal(j.id)
-		return false
 	}
-	return true
+	return err == nil
 }
 
-// submitAs validates and enqueues one journaled submission on behalf of
-// client — the shared entry behind every Submit*As method.
+// submitAs resolves and enqueues one journaled submission on behalf of
+// client.
 func (m *Manager) submitAs(client string, sub *journal.Submit) (*Job, error) {
-	kind, total, run, err := m.jobFor(sub)
+	j, err := m.jobFor(sub)
 	if err != nil {
 		return nil, err
 	}
-	return m.enqueue(client, sub, kind, total, run)
+	return m.admit(client, sub, j)
 }
 
-// runRun is the run closure of a single-run job. wire's Run consults
-// the job's context every control interval, so cancellation — DELETE,
-// a departed synchronous client, shutdown — aborts the simulation at
-// the next interval boundary instead of after the full window.
-func (m *Manager) runRun(r wire.RunRequest) func(ctx context.Context, j *Job) ([]byte, error) {
-	return func(ctx context.Context, j *Job) ([]byte, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// runJob builds an unqueued single-run job: kind run, or kind stream,
+// whose measured control intervals are published on the job as they
+// are produced.
+func (m *Manager) runJob(kind string, r wire.Resolved) *Job {
+	return &Job{kind: kind, total: 1, key: r.Key, run: func(ctx context.Context, j *Job) ([]byte, error) {
+		var emit func(stats.Interval)
+		if kind == journal.KindStream {
+			emit = j.pushInterval
 		}
-		body, hit, dispatched, err := m.runOrDispatch(ctx, r, func() ([]byte, bool, error) {
-			return r.Run(ctx, m.opts.Cache, m.runHooks(j, r, nil))
-		})
+		j.update(func(j *Job) { j.task = taskName(r) })
+		body, hit, dispatched, err := m.runOne(ctx, j, r, emit)
 		if err != nil {
 			return nil, err
 		}
-		j.update(func(j *Job) {
-			j.done = 1
-			j.task = r.Normalize().Benchmark + "/" + r.ControllerName()
-			j.hit = hit
-			j.dispatched = dispatched
-		})
+		j.update(func(j *Job) { j.done, j.hit, j.dispatched = 1, hit, dispatched })
 		return body, nil
-	}
+	}}
 }
 
-// runOrDispatch routes one run: through the fabric dispatch hook when
-// one is configured and the spec has a content address, locally
-// otherwise (no hook, or an opaque controller the fabric cannot
-// re-derive a key for).
-func (m *Manager) runOrDispatch(ctx context.Context, r wire.RunRequest, local func() ([]byte, bool, error)) (body []byte, hit, dispatched bool, err error) {
-	if m.opts.Dispatch != nil {
-		if key, kerr := r.Key(); kerr == nil {
-			body, hit, err = m.opts.Dispatch(ctx, key, r)
-			return body, hit, true, err
-		}
+// runOne runs one resolved request of job j: the one run path of single,
+// streamed and batched runs. It goes to the fabric when a dispatch hook
+// is set, the run has a content address and no emitter wants its
+// intervals (streams stay local); otherwise it runs here through the
+// manager's store under the job's hooks. Run consults ctx every control
+// interval, so cancellation — DELETE, a departed client, shutdown —
+// aborts the simulation at the next interval boundary instead of after
+// the full window.
+func (m *Manager) runOne(ctx context.Context, j *Job, r wire.Resolved, emit func(stats.Interval)) (body []byte, hit, dispatched bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, false, err
 	}
-	body, hit, err = local()
+	if m.opts.Dispatch != nil && r.Key != "" && emit == nil {
+		body, hit, err = m.opts.Dispatch(ctx, r.Key, r.Request())
+		return body, hit, true, err
+	}
+	body, hit, err = r.Run(ctx, m.opts.Cache, m.runHooks(j, r, emit))
 	return body, hit, false, err
 }
 
-// SubmitRun enqueues one simulation run (see runRun for its execution
-// contract).
-func (m *Manager) SubmitRun(r wire.RunRequest) (*Job, error) {
-	return m.SubmitRunAs("", r)
+// taskName labels one run in progress snapshots: benchmark/controller.
+func taskName(r wire.Resolved) string {
+	req := r.Request()
+	return req.Benchmark + "/" + req.ControllerName()
 }
 
-// SubmitRunAs is SubmitRun with a client identity: the submission is
-// charged against the per-client quota and journaled for crash replay.
-func (m *Manager) SubmitRunAs(client string, r wire.RunRequest) (*Job, error) {
-	return m.submitAs(client, &journal.Submit{Kind: journal.KindRun, Run: &r})
+// SubmitRunAs enqueues one resolved run on behalf of client: the
+// submission is charged against the per-client quota ("" is exempt) and
+// journaled for crash replay. See runOne for its execution contract.
+func (m *Manager) SubmitRunAs(client string, r wire.Resolved) (*Job, error) {
+	req := r.Request()
+	return m.admit(client, &journal.Submit{Kind: journal.KindRun, Run: &req}, m.runJob(journal.KindRun, r))
 }
 
-// runStream is the run closure of a stream job: the measured control
-// intervals are published on the job as they are produced (the backing
-// of the service's "stream" run mode), watchers drain them with
+// SubmitStreamAs is SubmitRunAs for a streamed run, the backing of the
+// service's "stream" run mode: watchers drain its intervals with
 // IntervalsSince, interleaved with the usual progress snapshots.
-// Cancellation — DELETE, a departed client, shutdown — closes the
-// stepped session at the next interval boundary; the partial result is
-// discarded and the job reports Failed with the context error. A
-// completed streamed run stores bytes identical to a one-shot run of
-// the same request, so the follow-up identical request is a cache hit.
-func (m *Manager) runStream(r wire.RunRequest) func(ctx context.Context, j *Job) ([]byte, error) {
-	return func(ctx context.Context, j *Job) ([]byte, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		j.update(func(j *Job) {
-			j.task = r.Normalize().Benchmark + "/" + r.ControllerName()
-		})
-		body, hit, err := r.Run(ctx, m.opts.Cache, m.runHooks(j, r, j.pushInterval))
-		if err != nil {
-			return nil, err
-		}
-		j.update(func(j *Job) {
-			j.done = 1
-			j.hit = hit
-		})
-		return body, nil
-	}
-}
-
-// SubmitStream enqueues one streamed simulation run (see runStream).
-func (m *Manager) SubmitStream(r wire.RunRequest) (*Job, error) {
-	return m.SubmitStreamAs("", r)
-}
-
-// SubmitStreamAs is SubmitStream with a client identity for quota
-// accounting and crash-replayable journaling.
-func (m *Manager) SubmitStreamAs(client string, r wire.RunRequest) (*Job, error) {
-	return m.submitAs(client, &journal.Submit{Kind: journal.KindStream, Run: &r})
+// Cancellation closes the stepped session at the next interval boundary;
+// the partial result is discarded and the job reports Failed with the
+// context error. A completed streamed run stores bytes identical to a
+// one-shot run of the same request, so the follow-up identical request
+// is a cache hit.
+func (m *Manager) SubmitStreamAs(client string, r wire.Resolved) (*Job, error) {
+	req := r.Request()
+	return m.admit(client, &journal.Submit{Kind: journal.KindStream, Run: &req}, m.runJob(journal.KindStream, r))
 }
 
 // runBatch is the run closure of a batch job: the runs fan out through
-// mcd.RunBatch on the manager's worker bound and result store; the
+// mcd.RunBatch on the manager's worker bound, each through runOne; the
 // result body is a JSON array of canonical result encodings in
 // submission order.
-func (m *Manager) runBatch(reqs []wire.RunRequest) func(ctx context.Context, j *Job) ([]byte, error) {
+func (m *Manager) runBatch(rs []wire.Resolved) func(ctx context.Context, j *Job) ([]byte, error) {
 	return func(ctx context.Context, j *Job) ([]byte, error) {
 		// Each run keeps its canonical body (indexes are distinct, so
 		// the slice needs no lock); the assembled array reuses those
 		// bytes instead of a decode/re-encode round trip per run.
-		bodies := make([][]byte, len(reqs))
-		batch := make([]mcd.RunRequest, len(reqs))
+		bodies := make([][]byte, len(rs))
+		batch := make([]mcd.RunRequest, len(rs))
 		var anyDispatched atomic.Bool
-		for i, r := range reqs {
-			i, r := i, r
-			n := r.Normalize()
+		for i, r := range rs {
 			batch[i] = mcd.RunRequest{
-				Name: fmt.Sprintf("%s/%s", n.Benchmark, r.ControllerName()),
+				Name: taskName(r),
 				Do: func(tctx context.Context) (mcd.Result, error) {
-					b, _, dispatched, err := m.runOrDispatch(tctx, r, func() ([]byte, bool, error) {
-						return r.Run(tctx, m.opts.Cache, wire.RunHooks{})
-					})
+					b, _, dispatched, err := m.runOne(tctx, j, r, nil)
 					if dispatched {
 						anyDispatched.Store(true)
 					}
@@ -788,13 +716,8 @@ func (m *Manager) runBatch(reqs []wire.RunRequest) func(ctx context.Context, j *
 	}
 }
 
-// SubmitBatch enqueues a set of runs (see runBatch).
-func (m *Manager) SubmitBatch(reqs []wire.RunRequest) (*Job, error) {
-	return m.SubmitBatchAs("", reqs)
-}
-
-// SubmitBatchAs is SubmitBatch with a client identity for quota
-// accounting and crash-replayable journaling.
+// SubmitBatchAs enqueues a set of runs (see runBatch) on behalf of
+// client, for quota accounting and crash-replayable journaling.
 func (m *Manager) SubmitBatchAs(client string, reqs []wire.RunRequest) (*Job, error) {
 	return m.submitAs(client, &journal.Submit{Kind: journal.KindBatch, Runs: reqs})
 }
@@ -828,13 +751,9 @@ func (m *Manager) runExperiment(e wire.ExperimentRequest) func(ctx context.Conte
 	}
 }
 
-// SubmitExperiment enqueues a whole experiment (see runExperiment).
-func (m *Manager) SubmitExperiment(e wire.ExperimentRequest) (*Job, error) {
-	return m.SubmitExperimentAs("", e)
-}
-
-// SubmitExperimentAs is SubmitExperiment with a client identity for
-// quota accounting and crash-replayable journaling.
+// SubmitExperimentAs enqueues a whole experiment (see runExperiment) on
+// behalf of client, for quota accounting and crash-replayable
+// journaling.
 func (m *Manager) SubmitExperimentAs(client string, e wire.ExperimentRequest) (*Job, error) {
 	return m.submitAs(client, &journal.Submit{Kind: journal.KindExperiment, Experiment: &e})
 }
@@ -896,13 +815,7 @@ func (m *Manager) liveSubmitsLocked() []journal.Submit {
 			live = append(live, *j.sub)
 		}
 	}
-	sort.Slice(live, func(a, b int) bool {
-		x, y := live[a].ID, live[b].ID
-		if len(x) != len(y) {
-			return len(x) < len(y)
-		}
-		return x < y
-	})
+	sort.Slice(live, func(a, b int) bool { return journal.IDLess(live[a].ID, live[b].ID) })
 	return live
 }
 
@@ -967,16 +880,7 @@ func (m *Manager) Jobs() []Snapshot {
 	for i, j := range js {
 		snaps[i] = j.Snapshot()
 	}
-	// IDs are sequence numbers zero-padded to six digits; comparing by
-	// (length, string) keeps submission order even past a million jobs
-	// in one process lifetime. Newest first.
-	sort.Slice(snaps, func(a, b int) bool {
-		x, y := snaps[a].ID, snaps[b].ID
-		if len(x) != len(y) {
-			return len(x) > len(y)
-		}
-		return x > y
-	})
+	sort.Slice(snaps, func(a, b int) bool { return journal.IDLess(snaps[b].ID, snaps[a].ID) }) // newest first
 	return snaps
 }
 
@@ -985,6 +889,7 @@ func (m *Manager) Jobs() []Snapshot {
 type Job struct {
 	id     string
 	kind   string
+	key    string          // spec key of a single-run job, set at submission; "" otherwise
 	client string          // quota identity; empty for direct library use
 	sub    *journal.Submit // journaled submission; nil for unjournaled jobs
 
@@ -1012,11 +917,7 @@ type Job struct {
 	ivBase int
 	ivs    []stats.Interval
 
-	// key is the content-addressed spec key of a run-family job, once
-	// computed; trc is the job's bounded flight-recorder trace (nil
-	// with tracing disabled or after aging out).
-	key string
-	trc *trace.Ring
+	trc *trace.Ring // bounded flight-recorder trace; nil untraced or aged out
 }
 
 // maxJobIntervals bounds one job's retained interval log, so a streamed

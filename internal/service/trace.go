@@ -45,18 +45,16 @@ func instantRec(name string, at time.Time) trace.Record {
 	return trace.Record{Kind: trace.KindInstant, Name: name, StartUS: at.UnixMicro()}
 }
 
-// runHooks builds the observation surface of one run-family job: the
+// runHooks builds the observation surface of one run of job j: the
 // interval emitter always, plus — when tracing — cache probe/run/store
-// spans and the per-interval controller decision audit. The spec key is
-// computed once here and stamped on the job for logs and trace records
-// ("" for opaque controllers, which still trace).
-func (m *Manager) runHooks(j *Job, r wire.RunRequest, emit func(stats.Interval)) wire.RunHooks {
+// spans and the per-interval controller decision audit, all under the
+// run's spec key ("" for opaque controllers, which still trace).
+func (m *Manager) runHooks(j *Job, r wire.Resolved, emit func(stats.Interval)) wire.RunHooks {
 	h := wire.RunHooks{Emit: emit}
 	if !m.tracing() {
 		return h
 	}
-	key, _ := r.Key()
-	j.setKey(key)
+	key := r.Key
 	h.Cache = &resultcache.Obs{
 		Probe: func(tier string, start, end time.Time) {
 			m.addTrace(j, spanRec("probe", key, tier, start, end))
@@ -88,20 +86,6 @@ func (j *Job) Trace() *trace.Ring {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.trc
-}
-
-// setKey stamps the job's content-addressed spec key once computed.
-func (j *Job) setKey(key string) {
-	j.mu.Lock()
-	j.key = key
-	j.mu.Unlock()
-}
-
-// Key returns the job's spec key, if one has been computed.
-func (j *Job) Key() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.key
 }
 
 // dropTrace releases the job's trace buffer; like dropIntervals it runs

@@ -39,7 +39,11 @@ func TestCellRequestSharesAddress(t *testing.T) {
 		mu.Lock()
 		cells++
 		mu.Unlock()
-		body, _, err := req.Run(ctx, nil, wire.RunHooks{})
+		run, err := req.Resolve()
+		if err != nil {
+			return nil, err
+		}
+		body, _, err := run.Run(ctx, nil, wire.RunHooks{})
 		return body, err
 	})
 	got := bench.Table6(hooked.RunAll())

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"strconv"
 	"strings"
@@ -40,6 +42,70 @@ func FuzzParseParams(f *testing.F) {
 			if !ok || math.Float64bits(w) != math.Float64bits(v) {
 				t.Fatalf("parameter %q: %v (bits %x) re-parsed as %v (bits %x)", name, v, math.Float64bits(v), w, math.Float64bits(w))
 			}
+		}
+	})
+}
+
+// decodeStrict decodes one request body as the service does: unknown
+// fields are an error.
+func decodeStrict(b []byte, r *RunRequest) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode(r)
+}
+
+// FuzzResolve decodes arbitrary bytes into a RunRequest strictly and
+// resolves it. Nothing panics; an accepted request's key is the one
+// RunRequest.Key derives; and its normalized request, re-encoded,
+// decodes and resolves to the same request under the same key.
+func FuzzResolve(f *testing.F) {
+	for _, s := range []string{
+		`{}`,
+		`{"benchmark":"adpcm","config":"attack-decay","window":8000,"warmup":4000,"interval":250}`,
+		`{"benchmark":"adpcm","controller":"dynamic-1","window":8000,"warmup":4000,"interval":500}`,
+		`{"benchmark":"mcf","config":"mcd","window":8000,"warmup":4000}`,
+		`{"benchmark":"adpcm","controller":"pi","params":{"kp":0.125},"window":8000,"warmup":4000}`,
+		`{"benchmark":"adpcm","controller":"global","params":{"deg":0.02,"base_ps":1e9}}`,
+		`{"benchmark":"adpcm","config":"sync","params":{"freq_mhz":500},"fidelity":"sampled","sample_every":4}`,
+		`{"benchmark":"adpcm","warmup":0,"interval":0,"slew_ns_per_mhz":0}`,
+		`{"controller":"pi","config":"coord"}`,
+		`{"controller":"pi","params":{"nope":1}}`,
+		`{"controller":"dynamic-1","params":{"target":0.05}}`,
+		`{"benchmark":"nonesuch"}`,
+		`{"benchmark":"adpcm","fidelity":"bogus"}`,
+		`{"benchmark":"adpcm","async":true}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req RunRequest
+		if decodeStrict(data, &req) != nil {
+			return
+		}
+		res, err := req.Resolve()
+		if err != nil {
+			return
+		}
+		if key, _ := req.Key(); res.Key != key {
+			t.Fatalf("Resolved.Key %q, RunRequest.Key %q", res.Key, key)
+		}
+		norm, err := json.Marshal(res.Request())
+		if err != nil {
+			t.Fatalf("normalized request does not encode: %v", err)
+		}
+		var back RunRequest
+		if err := decodeStrict(norm, &back); err != nil {
+			t.Fatalf("normalized request %s does not decode: %v", norm, err)
+		}
+		again, err := back.Resolve()
+		if err != nil {
+			t.Fatalf("normalized request %s rejected: %v", norm, err)
+		}
+		if again.Key != res.Key {
+			t.Fatalf("normalized request %s keys %q, original %q", norm, again.Key, res.Key)
+		}
+		if b, _ := json.Marshal(again.Request()); !bytes.Equal(b, norm) {
+			t.Fatalf("normalizing is not idempotent:\n%s\n%s", norm, b)
 		}
 	})
 }

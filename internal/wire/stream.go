@@ -72,7 +72,7 @@ func GapFrame(n int) StreamFrame {
 	return StreamFrame{Type: FrameGap, Dropped: n}
 }
 
-// RunHooks bundles the optional observation points of Run. Every hook
+// RunHooks bundles the optional observation points of Resolved.Run. Every hook
 // may be nil; the zero value is an unobserved run. Hooks run on the
 // simulating goroutine and must be cheap relative to a control
 // interval — the tracing layer records a fixed-size value per call.
@@ -91,29 +91,26 @@ type RunHooks struct {
 	Decide func(iv stats.Interval, chosen [clock.NumControllable]float64, note string)
 }
 
-// Run executes the request through a stepped simulation session and
-// returns the canonical result body — exactly what cmd/mcdsim computes
-// for the same flags, and a pure function of the request. Every
-// measured control interval goes to h.Emit as it is produced.
+// Run executes the resolved request through a stepped simulation
+// session and returns the canonical result body — exactly what
+// cmd/mcdsim computes for the same flags, and a pure function of the
+// request. Every measured control interval goes to h.Emit as it is
+// produced.
 //
-// The store rule lives here alone: a nil store computes directly,
-// without deriving a key; a request whose controller has no content
-// address (resultcache.ErrUncacheable) computes uncached; everything
-// else goes through c, where a hit (including joining an identical
-// in-flight computation) returns the stored bytes without simulating
-// and emits nothing. Cancelling ctx closes the session at the next
-// interval boundary and returns ctx.Err(); the partial result is
-// discarded, never stored.
-func (r RunRequest) Run(ctx context.Context, c *resultcache.Cache, h RunHooks) (body []byte, hit bool, err error) {
+// The store rule lives here alone: a nil store computes directly; a
+// request whose controller has no content address
+// (resultcache.ErrUncacheable) computes uncached; any other key error
+// fails the run; everything else goes through c under r.Key, where a hit
+// (including joining an identical in-flight computation) returns the
+// stored bytes without simulating and emits nothing. Cancelling ctx
+// closes the session at the next interval boundary and returns
+// ctx.Err(); the partial result is discarded, never stored.
+func (r Resolved) Run(ctx context.Context, c *resultcache.Cache, h RunHooks) (body []byte, hit bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	run, res, err := r.controlRun()
-	if err != nil {
-		return nil, false, err
-	}
 	compute := func() ([]byte, error) {
-		spec, err := res.Spec(run)
+		spec, err := r.Spec()
 		if err != nil {
 			return nil, err
 		}
@@ -142,14 +139,11 @@ func (r RunRequest) Run(ctx context.Context, c *resultcache.Cache, h RunHooks) (
 		}
 		return resultcache.EncodeResult(ses.Close())
 	}
-	key := ""
-	if c != nil {
-		key, err = res.Key(run)
-		if errors.Is(err, resultcache.ErrUncacheable) {
-			c = nil
-		} else if err != nil {
-			return nil, false, err
+	if c != nil && r.keyErr != nil {
+		if !errors.Is(r.keyErr, resultcache.ErrUncacheable) {
+			return nil, false, r.keyErr
 		}
+		c = nil
 	}
-	return c.DoBytes(key, compute, h.Cache)
+	return c.DoBytes(r.Key, compute, h.Cache)
 }

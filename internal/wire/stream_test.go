@@ -23,6 +23,16 @@ func streamReq() RunRequest {
 	}
 }
 
+// mustResolve resolves a request a test knows to be valid.
+func mustResolve(t *testing.T, r RunRequest) Resolved {
+	t.Helper()
+	v, err := r.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // A streamed run emits one frame per measured control interval and
 // returns the exact bytes a one-shot run of the same request serves —
 // the property that lets a completed stream populate the cache for
@@ -38,7 +48,7 @@ func TestRunStreamMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var frames []stats.Interval
-	got, hit, err := req.Run(context.Background(), nil, RunHooks{Emit: func(iv stats.Interval) {
+	got, hit, err := mustResolve(t, req).Run(context.Background(), nil, RunHooks{Emit: func(iv stats.Interval) {
 		frames = append(frames, iv)
 	}})
 	if err != nil {
@@ -70,7 +80,7 @@ func TestRunStreamPopulatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := streamReq()
-	first, hit, err := req.Run(context.Background(), c, RunHooks{})
+	first, hit, err := mustResolve(t, req).Run(context.Background(), c, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +88,7 @@ func TestRunStreamPopulatesCache(t *testing.T) {
 		t.Error("cold cache reported a hit")
 	}
 	emitted := 0
-	second, hit, err := req.Run(context.Background(), c, RunHooks{Emit: func(stats.Interval) { emitted++ }})
+	second, hit, err := mustResolve(t, req).Run(context.Background(), c, RunHooks{Emit: func(stats.Interval) { emitted++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +117,7 @@ func TestRunStreamCancelled(t *testing.T) {
 	req := streamReq()
 	ctx, cancel := context.WithCancel(context.Background())
 	frames := 0
-	_, _, err = req.Run(ctx, c, RunHooks{Emit: func(stats.Interval) {
+	_, _, err = mustResolve(t, req).Run(ctx, c, RunHooks{Emit: func(stats.Interval) {
 		frames++
 		if frames == 2 {
 			cancel()

@@ -116,40 +116,44 @@ func (r RunRequest) ControllerName() string {
 	return r.Config
 }
 
-// Validate checks the benchmark, controller and parameter names; its
-// error messages list the valid sets (sorted), making it the one source
-// of truth for CLI usage errors and HTTP 400 bodies.
-func (r RunRequest) Validate() error {
-	_, _, err := r.controlRun()
-	return err
+// Resolved is a run request resolved once, at the trust boundary it
+// entered through: normalized, validated, resolved against the registry
+// and content-addressed. Everything downstream derives nothing again.
+type Resolved struct {
+	// Key is the request's content address in the result store; "" when
+	// it has none (an opaque controller, or a key error Run reports).
+	Key    string
+	req    RunRequest
+	run    control.Run
+	res    control.Resolved
+	keyErr error
 }
 
-// controlRun is the request's single validation and resolution point:
-// it checks the benchmark, reconciles the two controller spellings,
-// resolves the registry once, and builds the controller-independent
-// run description. Validate, Spec, Key and Run all derive
-// from it, so validation semantics live in exactly one place and the
-// hot serving path resolves the registry once per request.
-func (r RunRequest) controlRun() (control.Run, control.Resolved, error) {
+// Resolve checks the benchmark, reconciles the two controller
+// spellings, resolves the registry and derives the content address.
+// Its errors list the valid sets (sorted): the one source of truth for
+// CLI usage errors and HTTP 400 bodies. A key error stays in the value
+// and fails the run that needs the key.
+func (r RunRequest) Resolve() (Resolved, error) {
 	r = r.Normalize()
 	b, ok := workload.Lookup(r.Benchmark)
 	if !ok {
-		return control.Run{}, control.Resolved{}, fmt.Errorf("unknown benchmark %q (see mcdbench -exp table5 for the catalog)", r.Benchmark)
+		return Resolved{}, fmt.Errorf("unknown benchmark %q (see mcdbench -exp table5 for the catalog)", r.Benchmark)
 	}
 	if r.Controller != "" && r.Config != "" && r.Controller != r.Config {
-		return control.Run{}, control.Resolved{}, fmt.Errorf("controller %q and config %q disagree (set one; they are the same field)", r.Controller, r.Config)
+		return Resolved{}, fmt.Errorf("controller %q and config %q disagree (set one; they are the same field)", r.Controller, r.Config)
 	}
 	res, err := control.Resolve(r.ControllerName(), control.Params(r.Params))
 	if err != nil {
-		return control.Run{}, control.Resolved{}, err
+		return Resolved{}, err
 	}
 	fid, err := sim.ParseFidelity(r.Fidelity)
 	if err != nil {
-		return control.Run{}, control.Resolved{}, err
+		return Resolved{}, err
 	}
 	cfg := pipeline.DefaultConfig()
 	cfg.SlewNsPerMHz = *r.SlewNsPerMHz
-	return control.Run{
+	v := Resolved{req: r, res: res, run: control.Run{
 		Config:         cfg,
 		Profile:        b.Profile,
 		Window:         r.Window,
@@ -159,34 +163,52 @@ func (r RunRequest) controlRun() (control.Run, control.Resolved, error) {
 		Fidelity:       fid,
 		SampleEvery:    r.SampleEvery,
 		Store:          r.store,
-	}, res, nil
+	}}
+	v.Key, v.keyErr = res.Key(v.run)
+	return v, nil
 }
 
-// Spec builds the full simulation spec the request describes,
-// performing any compound preparation the controller definition needs
-// (an off-line schedule search). Use Key for content addressing — it
-// never pays for preparation.
+// Request returns the normalized request: what a journal stores and a
+// fabric worker receives.
+func (r Resolved) Request() RunRequest { return r.req }
+
+// Spec builds the full simulation spec, performing any compound
+// preparation (an off-line schedule search).
+func (r Resolved) Spec() (sim.Spec, error) { return r.res.Spec(r.run) }
+
+// Validate is Resolve's error alone.
+func (r RunRequest) Validate() error {
+	_, err := r.Resolve()
+	return err
+}
+
+// Spec is Resolve followed by Resolved.Spec.
 func (r RunRequest) Spec() (sim.Spec, error) {
-	run, res, err := r.controlRun()
+	v, err := r.Resolve()
 	if err != nil {
 		return sim.Spec{}, err
 	}
-	return res.Spec(run)
+	return v.Spec()
 }
 
-// Key returns the request's content address in the result store.
+// Key returns the request's content address in the result store, or
+// why it has none (resultcache.ErrUncacheable for an opaque controller).
 func (r RunRequest) Key() (string, error) {
-	run, res, err := r.controlRun()
-	if err != nil {
-		return "", err
+	v, err := r.Resolve()
+	if err == nil {
+		err = v.keyErr
 	}
-	return res.Key(run)
+	return v.Key, err
 }
 
-// RunCachedBytes is Run with no context and no hooks — the call
-// perfbench's reference regeneration makes.
+// RunCachedBytes is Resolve followed by Resolved.Run with no context and
+// no hooks — the call perfbench's reference regeneration makes.
 func (r RunRequest) RunCachedBytes(c *resultcache.Cache) (body []byte, hit bool, err error) {
-	return r.Run(context.Background(), c, RunHooks{})
+	v, err := r.Resolve()
+	if err != nil {
+		return nil, false, err
+	}
+	return v.Run(context.Background(), c, RunHooks{})
 }
 
 // ParseParams parses the CLI spelling of controller parameters —
