@@ -35,13 +35,12 @@ import (
 	"mcd/internal/bench"
 	"mcd/internal/prof"
 	"mcd/internal/service"
-	"mcd/internal/sim"
 	"mcd/internal/wire"
 )
 
 func main() {
 	var (
-		exp       = flag.String("exp", "headline", "experiment: table1..table6, fig4, headline, all")
+		exp       = flag.String("exp", "headline", "experiment: table1..table6, fig4, headline, all, or a sweep-* experiment")
 		quick     = flag.Bool("quick", false, "reduced scale (subset of benchmarks, shorter windows)")
 		window    = flag.Uint64("window", 0, "override measured instructions per run")
 		warmup    = flag.Uint64("warmup", 0, "override warmup instructions per run")
@@ -64,21 +63,27 @@ func main() {
 	)
 	flag.Parse()
 
-	fid, err := sim.ParseFidelity(*fidelity)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcdbench: %v\n", err)
-		os.Exit(2)
+	static := map[string]func() string{
+		"table1": bench.Table1, "table2": bench.Table2, "table3": bench.Table3,
+		"table4": bench.Table4, "table5": bench.Table5,
+	}
+	// Every measured experiment is one request, the service's: the
+	// local and -server paths run the same one, and wire maps it onto
+	// harness options. The static tables need none.
+	req := wire.ExperimentRequest{
+		Name: *exp, Quick: *quick,
+		Window: *window, Warmup: *warmup,
+		Benchmarks: bench.SplitNames(*benchF),
+		Fidelity:   *fidelity, SampleEvery: *sampleN,
+	}
+	if _, ok := static[*exp]; !ok && !*benchJSON {
+		if err := req.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "mcdbench: %v\n", err)
+			os.Exit(2)
+		}
 	}
 
 	if *server != "" {
-		req := wire.ExperimentRequest{
-			Name: *exp, Quick: *quick,
-			Window: *window, Warmup: *warmup,
-			Fidelity: fid, SampleEvery: *sampleN,
-		}
-		if *benchF != "" {
-			req.Benchmarks = bench.SplitNames(*benchF)
-		}
 		os.Exit(runOnServer(strings.TrimRight(*server, "/"), req, *jsonOut, *quiet))
 	}
 
@@ -101,25 +106,11 @@ func main() {
 		os.Exit(code)
 	}
 
-	opts := bench.DefaultOptions()
-	if *quick {
-		opts = bench.QuickOptions()
-	}
-	if *window != 0 {
-		opts.Window = *window
-	}
-	if *warmup != 0 {
-		opts.Warmup = *warmup
-	}
-	if *benchF != "" {
-		opts.Benchmarks = bench.SplitNames(*benchF)
-	}
+	opts := req.Options()
 	if !*quiet {
 		opts.Log = os.Stderr
 	}
 	opts.Workers = *workers
-	opts.Fidelity = fid
-	opts.SampleEvery = *sampleN
 
 	if *validate {
 		// The validation harness times both tiers itself; a cache would
@@ -159,22 +150,16 @@ func main() {
 		os.Stdout.Write(b)
 	}
 
-	static := map[string]func() string{
-		"table1": bench.Table1, "table2": bench.Table2, "table3": bench.Table3,
-		"table4": bench.Table4, "table5": bench.Table5,
-	}
 	if f, ok := static[*exp]; ok {
 		emit(wire.ExperimentResult{Experiment: *exp, Output: f()})
 		return
 	}
-
-	switch *exp {
-	case "table6", "fig4", "headline", "all":
-		emit(wire.FromComparisons(*exp, opts.RunAll()))
-	default:
-		fmt.Fprintf(os.Stderr, "mcdbench: unknown experiment %q\n", *exp)
+	res, err := wire.RunExperimentRequest(opts, req)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mcdbench: %v\n", err)
 		os.Exit(1)
 	}
+	emit(res)
 }
 
 // runOnServer submits one experiment to a running mcdserve, polls the

@@ -45,48 +45,30 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := bench.DefaultOptions()
-	if *quick {
-		opts = bench.QuickOptions()
-	}
-	if *benchF != "" {
-		opts.Benchmarks = bench.SplitNames(*benchF)
-	}
-	if !*quiet {
-		opts.Log = os.Stderr
-	}
-	opts.Workers = *workers
-	if err := opts.AttachCache(*cacheDir); err != nil {
-		fmt.Fprintf(os.Stderr, "mcdsweep: %v\n", err)
-		os.Exit(1)
-	}
-
 	vals, err := parseValues(*values)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mcdsweep: %v\n", err)
 		os.Exit(2)
 	}
 
-	// One rendering path with the service: wire owns the experiment
-	// execution, so CLI output and mcdserve experiment bodies stay
-	// byte-for-byte in agreement.
-	req := wire.ExperimentRequest{Name: "sweep-" + *param, Values: vals,
-		Fidelity: *fidelity, SampleEvery: *sampleN}
+	// One request, the service's: wire maps it onto harness options and
+	// owns the experiment execution, so CLI output and mcdserve
+	// experiment bodies stay byte-for-byte in agreement.
+	req := wire.ExperimentRequest{
+		Name:        "sweep-" + *param,
+		Quick:       *quick,
+		Benchmarks:  bench.SplitNames(*benchF),
+		Values:      vals,
+		Fidelity:    *fidelity,
+		SampleEvery: *sampleN,
+	}
 	if *controller != "" {
 		fixed, err := wire.ParseParams(*set)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mcdsweep: %v\n", err)
 			os.Exit(2)
 		}
-		req = wire.ExperimentRequest{
-			Name:        wire.ExpSweepController,
-			Controller:  *controller,
-			Param:       *param,
-			Values:      vals,
-			Params:      fixed,
-			Fidelity:    *fidelity,
-			SampleEvery: *sampleN,
-		}
+		req.Name, req.Controller, req.Param, req.Params = wire.ExpSweepController, *controller, *param, fixed
 	} else {
 		if *set != "" {
 			fmt.Fprintln(os.Stderr, "mcdsweep: -set needs -controller (the paper sweeps fix their own parameters)")
@@ -100,6 +82,20 @@ func main() {
 				*param)
 			os.Exit(2)
 		}
+	}
+	if err := req.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "mcdsweep: %v\n", err)
+		os.Exit(2)
+	}
+
+	opts := req.Options()
+	opts.Workers = *workers
+	if !*quiet {
+		opts.Log = os.Stderr
+	}
+	if err := opts.AttachCache(*cacheDir); err != nil {
+		fmt.Fprintf(os.Stderr, "mcdsweep: %v\n", err)
+		os.Exit(1)
 	}
 	res, err := wire.RunExperimentRequest(opts, req)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Tables 1–6, Figures 2–7) on the
 // synthetic-workload substrate, printing the same rows and series the
-// paper reports. See DESIGN.md for the per-experiment index and
-// EXPERIMENTS.md for paper-vs-measured results.
+// paper reports. See DESIGN.md for the per-experiment index and the
+// fidelity notes on paper-vs-measured results.
 //
 // Every grid of independent runs is executed through internal/runner, so
 // the harness scales across cores; results are assembled in submission
@@ -17,11 +17,9 @@ import (
 	"sync"
 
 	"mcd/internal/control"
-	"mcd/internal/core"
 	"mcd/internal/pipeline"
 	"mcd/internal/resultcache"
 	"mcd/internal/runner"
-	"mcd/internal/sim"
 	"mcd/internal/stats"
 	"mcd/internal/workload"
 )
@@ -36,7 +34,6 @@ type Options struct {
 	Warmup         uint64  // cache/predictor warmup instructions
 	IntervalLength uint64  // controller sampling period
 	SlewNsPerMHz   float64 // regulator slew (compressed with the interval)
-	Params         core.Params
 	OfflineIters   int
 	// Fidelity selects the simulation tier for every grid cell ("" or
 	// sim.FidelityExact: the default cycle-exact engine,
@@ -80,15 +77,14 @@ type Options struct {
 	Exec ExecFunc
 }
 
-// DefaultOptions returns the full-scale configuration used for
-// EXPERIMENTS.md.
+// DefaultOptions returns the paper-scale configuration: the CLIs'
+// default when -quick is off.
 func DefaultOptions() Options {
 	return Options{
 		Window:         400_000,
 		Warmup:         200_000,
 		IntervalLength: 1_000,
 		SlewNsPerMHz:   4.91,
-		Params:         core.DefaultParams(),
 		OfflineIters:   5,
 	}
 }
@@ -170,13 +166,6 @@ func (o *Options) AttachCache(dir string) error {
 	}
 	o.Cache = c
 	return nil
-}
-
-// task builds one cache-aware grid-cell task: with a cache configured
-// the cell is addressed by its spec's content hash and skipped when a
-// previous sweep already computed it; without one it is a plain run.
-func (o Options) task(name string, spec sim.Spec) runner.Task[stats.Result] {
-	return resultcache.Task(o.Cache, name, spec)
 }
 
 // controlRun is the controller-independent run description of one grid
@@ -275,7 +264,7 @@ func (o Options) phase1Tasks(b workload.Benchmark, store *resultcache.Cache) []r
 	return []runner.Task[stats.Result]{
 		cSync: o.resolvedTask(b.Name, b.Name+"/sync", "sync", nil, run),
 		cBase: o.resolvedTask(b.Name, b.Name+"/mcd-base", "mcd", nil, run),
-		cAD:   o.resolvedTask(b.Name, b.Name+"/attack-decay", "attack-decay", control.FromAttackDecay(o.Params), run),
+		cAD:   o.resolvedTask(b.Name, b.Name+"/attack-decay", "attack-decay", nil, run),
 		cDyn1: o.resolvedTask(b.Name, b.Name+"/dynamic-1%", "dynamic-1", iters, run),
 		cDyn5: o.resolvedTask(b.Name, b.Name+"/dynamic-5%", "dynamic-5", iters, run),
 	}

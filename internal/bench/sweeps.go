@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mcd/internal/control"
-	"mcd/internal/core"
 	"mcd/internal/resultcache"
 	"mcd/internal/runner"
 	"mcd/internal/sim"
@@ -33,88 +32,66 @@ func (o Options) baselines(cat []workload.Benchmark) []stats.Result {
 	return o.mapTasks(tasks)
 }
 
-// sweep runs Attack/Decay across the catalog once per parameter value.
-// The per-benchmark baselines form one parallel batch and the full
-// (value × benchmark) grid a second one; points are assembled in value
-// order, so the output is identical for any worker count. Cells resolve
-// the registered "attack-decay" definition, so a sweep-controller
-// request over the same parameter values reuses them from a shared
-// cache.
-func (o Options) sweep(values []float64, apply func(*core.Params, float64)) []SweepPoint {
-	cat := o.catalog()
-	bases := o.baselines(cat)
+// paperSweeps are the paper's sensitivity figures (Figures 5–7), one
+// row per swept attack-decay parameter: the published x-axis values and
+// the other three Table 2 parameters fixed at the figure's
+// configuration (the rest take the schema defaults).
+var paperSweeps = map[string]struct {
+	values []float64
+	fixed  control.Params
+}{
+	"perfdeg": {
+		[]float64{0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12},
+		control.Params{"deviation": 0.010, "reaction": 0.060, "decay": 0.0125},
+	},
+	"decay": {
+		[]float64{0.0005, 0.00175, 0.005, 0.0075, 0.0125, 0.0175, 0.02},
+		control.Params{"deviation": 0.015, "reaction": 0.040, "perfdeg": 0.030},
+	},
+	"reaction": {
+		[]float64{0.005, 0.02, 0.04, 0.06, 0.09, 0.12, 0.155},
+		control.Params{"deviation": 0.015, "decay": 0.0075, "perfdeg": 0.030},
+	},
+	"deviation": {
+		[]float64{0.0025, 0.005, 0.0075, 0.0125, 0.0175, 0.025},
+		control.Params{"reaction": 0.060, "decay": 0.00175, "perfdeg": 0.025},
+	},
+}
 
-	var grid []runner.Task[stats.Result]
-	for _, v := range values {
-		p := o.Params
-		apply(&p, v)
-		rp := control.FromAttackDecay(p)
-		for _, b := range cat {
-			grid = append(grid, o.resolvedTask(
-				b.Name, fmt.Sprintf("%s/ad@%g", b.Name, v),
-				"attack-decay", rp, o.controlRun(b)))
-		}
+// paperSweep runs one row of paperSweeps through SweepController over
+// the registered attack-decay controller; nil values take the row's
+// published set.
+func (o Options) paperSweep(param string, values []float64) []SweepPoint {
+	row := paperSweeps[param]
+	if len(values) == 0 {
+		values = row.values
 	}
-	runs := o.mapTasks(grid)
-
-	points := make([]SweepPoint, len(values))
-	for vi, v := range values {
-		var comps []stats.Comparison
-		for bi := range cat {
-			comps = append(comps, stats.Compare(runs[vi*len(cat)+bi], bases[bi]))
-		}
-		points[vi] = SweepPoint{Value: v, Summary: stats.Summarize(comps)}
+	pts, err := o.SweepController("attack-decay", param, values, row.fixed)
+	if err != nil {
+		panic(err) // the rows name attack-decay schema fields
 	}
-	return points
+	return pts
 }
 
 // SweepTarget reproduces Figure 5: PerfDegThreshold swept as the
 // performance degradation target (paper values 0–12%), with the
 // parameters otherwise fixed at 1.000_06.0_1.250_X.X.
-func (o Options) SweepTarget(values []float64) []SweepPoint {
-	if len(values) == 0 {
-		values = []float64{0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12}
-	}
-	o.Params.DeviationThreshold = 0.010
-	o.Params.ReactionChange = 0.060
-	o.Params.Decay = 0.0125
-	return o.sweep(values, func(p *core.Params, v float64) { p.PerfDegThreshold = v })
-}
+func (o Options) SweepTarget(values []float64) []SweepPoint { return o.paperSweep("perfdeg", values) }
 
 // SweepDecay reproduces Figures 6(a)/7(a): Decay swept 0–2% with
 // parameters 1.500_04.0_X.XXX_3.0.
-func (o Options) SweepDecay(values []float64) []SweepPoint {
-	if len(values) == 0 {
-		values = []float64{0.0005, 0.00175, 0.005, 0.0075, 0.0125, 0.0175, 0.02}
-	}
-	o.Params.DeviationThreshold = 0.015
-	o.Params.ReactionChange = 0.040
-	o.Params.PerfDegThreshold = 0.030
-	return o.sweep(values, func(p *core.Params, v float64) { p.Decay = v })
-}
+func (o Options) SweepDecay(values []float64) []SweepPoint { return o.paperSweep("decay", values) }
 
 // SweepReaction reproduces Figures 6(b)/7(b): ReactionChange swept
 // 0.5–15.5% with parameters 1.500_XX.X_0.750_3.0.
 func (o Options) SweepReaction(values []float64) []SweepPoint {
-	if len(values) == 0 {
-		values = []float64{0.005, 0.02, 0.04, 0.06, 0.09, 0.12, 0.155}
-	}
-	o.Params.DeviationThreshold = 0.015
-	o.Params.Decay = 0.0075
-	o.Params.PerfDegThreshold = 0.030
-	return o.sweep(values, func(p *core.Params, v float64) { p.ReactionChange = v })
+	return o.paperSweep("reaction", values)
 }
 
 // SweepDeviation reproduces Figures 6(c)/7(c): DeviationThreshold swept
 // 0–2.5% with parameters X.XXX_06.0_0.175_2.5.
 func (o Options) SweepDeviation(values []float64) []SweepPoint {
-	if len(values) == 0 {
-		values = []float64{0.0025, 0.005, 0.0075, 0.0125, 0.0175, 0.025}
-	}
-	o.Params.ReactionChange = 0.060
-	o.Params.Decay = 0.00175
-	o.Params.PerfDegThreshold = 0.025
-	return o.sweep(values, func(p *core.Params, v float64) { p.DeviationThreshold = v })
+	return o.paperSweep("deviation", values)
 }
 
 // SweepController runs a sensitivity sweep over one numeric parameter
@@ -123,9 +100,10 @@ func (o Options) SweepDeviation(values []float64) []SweepPoint {
 // defaults) and run across the catalog, summarized against the
 // per-benchmark baseline MCD runs — the registry-generic form of the
 // Figure 5–7 sweeps, available to pi, coord, dynamic and anything
-// registered later. A nil values slice samples the schema field's
-// documented [Min, Max] range at sweepSamples evenly spaced points.
-// Grid cells are cache-aware exactly like the fixed sweeps.
+// registered later, and the one path the paper's own sweeps take. A
+// nil values slice samples the schema field's documented [Min, Max]
+// range at sweepSamples evenly spaced points. Grid cells are
+// cache-aware (see controlTask).
 func (o Options) SweepController(name, param string, values []float64, fixed map[string]float64) ([]SweepPoint, error) {
 	reg, ok := control.Lookup(name)
 	if !ok {
@@ -197,32 +175,28 @@ func (o Options) SweepController(name, param string, values []float64, fixed map
 // simulated whichever way the cell is executed, so a grid simulates the
 // same runs with and without Exec.
 func (o Options) controlTask(bench, label, ctrl string, p control.Params, res control.Resolved, run control.Run) runner.Task[stats.Result] {
-	compute := func() (stats.Result, error) {
-		spec, err := res.Spec(run)
-		if err != nil {
-			return stats.Result{}, err
-		}
-		return sim.Run(spec), nil
+	key, _ := res.Key(run) // "": no content address, computed directly
+	if o.Exec != nil && key != "" {
+		cell := o.cell(label, bench, ctrl, key, p)
+		cell.Store = run.Store
+		return runner.Task[stats.Result]{Name: label, Run: func(ctx context.Context) (stats.Result, error) {
+			b, err := o.Exec(ctx, cell)
+			if err != nil {
+				return stats.Result{}, err
+			}
+			return resultcache.DecodeResult(b)
+		}}
 	}
-	if o.Exec != nil {
-		if key, err := res.Key(run); err == nil {
-			cell := o.cell(label, bench, ctrl, key, p)
-			cell.Store = run.Store
-			return runner.Task[stats.Result]{Name: label, Run: func(ctx context.Context) (stats.Result, error) {
-				b, err := o.Exec(ctx, cell)
-				if err != nil {
-					return stats.Result{}, err
-				}
-				return resultcache.DecodeResult(b)
-			}}
-		}
-	}
-	if o.Cache != nil {
-		if key, err := res.Key(run); err == nil {
-			return resultcache.TaskKeyed(o.Cache, label, key, compute)
-		}
-	}
-	return runner.Task[stats.Result]{Name: label, Run: func(context.Context) (stats.Result, error) { return compute() }}
+	return runner.Task[stats.Result]{Name: label, Run: func(context.Context) (stats.Result, error) {
+		r, _, err := o.Cache.DoResult(key, func() (stats.Result, error) {
+			spec, err := res.Spec(run)
+			if err != nil {
+				return stats.Result{}, err
+			}
+			return sim.Run(spec), nil
+		})
+		return r, err
+	}}
 }
 
 // sweepSamples is how many points a controller sweep takes from the

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"mcd/internal/clock"
+	"mcd/internal/control"
 	"mcd/internal/core"
 	"mcd/internal/dvfs"
 	"mcd/internal/hw"
@@ -120,19 +122,20 @@ func (o TraceOptions) Trace() (stats.Result, error) {
 	return res[0], nil
 }
 
-// traceSpec is the one construction point of a Figure 2/3 trace run, so
-// TraceMany and FollowTrace address the same computation.
-func (o Options) traceSpec(b workload.Benchmark) sim.Spec {
-	return sim.Spec{
-		Config:          o.config(),
-		Profile:         b.Profile,
-		Window:          o.Window,
-		Warmup:          o.Warmup,
-		IntervalLength:  o.IntervalLength,
-		Controller:      core.NewAttackDecay(o.Params),
-		RecordIntervals: true,
-		Name:            "attack-decay-trace",
+// traceSpec is the one construction point of a Figure 2/3 trace run:
+// the registered attack-decay controller at its schema defaults,
+// exact-tier, recording every interval.
+func (o Options) traceSpec(b workload.Benchmark) (sim.Spec, error) {
+	res, err := control.Resolve("attack-decay", nil)
+	if err != nil {
+		return sim.Spec{}, err
 	}
+	run := o.controlRun(b)
+	run.Fidelity, run.SampleEvery = "", 0
+	run.Name = "attack-decay-trace"
+	spec, err := res.Spec(run)
+	spec.RecordIntervals = true
+	return spec, err
 }
 
 // TraceMany records the Figure 2/3 interval trace of several benchmarks,
@@ -142,28 +145,34 @@ func (o Options) traceSpec(b workload.Benchmark) sim.Spec {
 func (o Options) TraceMany(names []string) ([]stats.Result, error) {
 	tasks := make([]runner.Task[stats.Result], len(names))
 	for i, name := range names {
-		b, ok := workload.Lookup(name)
-		if !ok {
+		if _, ok := workload.Lookup(name); !ok {
 			return nil, fmt.Errorf("bench: unknown benchmark %q", name)
 		}
-		tasks[i] = o.task(name+"/trace", o.traceSpec(b))
+		tasks[i] = runner.Task[stats.Result]{Name: name + "/trace", Run: func(context.Context) (stats.Result, error) {
+			return o.FollowTrace(name, nil)
+		}}
 	}
 	return o.mapTasks(tasks), nil
 }
 
 // FollowTrace records one benchmark's Figure 2/3 trace through a
 // stepped session, calling emit with each measured interval as it is
-// produced — the mcdtrace -follow mode. It is cache-aware like
-// TraceMany (the same content address): a stored trace replays its
-// recorded intervals through emit instead of simulating, so the rows a
-// follower prints are identical either way.
+// produced — the mcdtrace -follow mode, and each task of TraceMany. It
+// is cache-aware: the trace is addressed by its full spec (which, unlike
+// a registry key, carries RecordIntervals), and a stored trace replays
+// its recorded intervals through emit instead of simulating, so the
+// rows a follower prints are identical either way.
 func (o Options) FollowTrace(name string, emit func(stats.Interval)) (stats.Result, error) {
 	b, ok := workload.Lookup(name)
 	if !ok {
 		return stats.Result{}, fmt.Errorf("bench: unknown benchmark %q", name)
 	}
-	spec := o.traceSpec(b)
-	compute := func() (stats.Result, error) {
+	spec, err := o.traceSpec(b)
+	if err != nil {
+		return stats.Result{}, err
+	}
+	key, _ := resultcache.SpecKey(spec)
+	res, hit, err := o.Cache.DoResult(key, func() (stats.Result, error) {
 		ses, err := sim.Open(spec)
 		if err != nil {
 			return stats.Result{}, err
@@ -173,22 +182,16 @@ func (o Options) FollowTrace(name string, emit func(stats.Interval)) (stats.Resu
 		}
 		ses.Step(-1)
 		return ses.Close(), nil
+	})
+	if err != nil {
+		return stats.Result{}, err
 	}
-	if o.Cache != nil {
-		if key, err := resultcache.SpecKey(spec); err == nil {
-			res, hit, err := o.Cache.DoResult(key, compute)
-			if err != nil {
-				return stats.Result{}, err
-			}
-			if hit && emit != nil {
-				for _, iv := range res.Intervals {
-					emit(iv)
-				}
-			}
-			return res, nil
+	if hit && emit != nil {
+		for _, iv := range res.Intervals {
+			emit(iv)
 		}
 	}
-	return compute()
+	return res, nil
 }
 
 // FigureCSVHeader is the column header line FigureCSV emits.

@@ -7,6 +7,7 @@ import (
 	"mcd/internal/pipeline"
 	"mcd/internal/resultcache"
 	"mcd/internal/sim"
+	"mcd/internal/stats"
 )
 
 // The built-in registrations: the paper's evaluation matrix (the five
@@ -101,8 +102,7 @@ func init() {
 			// price of making Global(·) a content-addressed registry
 			// citizen; warm caches never pay it. The probes go through
 			// r.Simulate, so searches sharing a Store share them.
-			freq, _ := core.GlobalMatchFidelity(r.Config, r.Profile, r.Window, r.Warmup, base, p["deg"], r.Name,
-				r.Fidelity, r.SampleEvery, r.IntervalLength, r.Simulate)
+			freq, _ := core.GlobalMatch(base, p["deg"], func(f float64) stats.Result { return r.Simulate(r.syncSpec(f)) })
 			return r.syncSpec(freq), nil
 		},
 		// The bisection is the expensive part; the content address is the
@@ -115,36 +115,6 @@ func init() {
 				fmt.Sprintf("global|base=%s|deg=%s", resultcache.Float(p["base_ps"]), resultcache.Float(p["deg"])), nil
 		},
 	})
-}
-
-// FromAttackDecay translates the legacy core.Params struct into the
-// attack-decay schema's parameter map, materializing the effective
-// values core applies to zero RefIPCDecay/IPCSmoothing fields. A
-// resolution over the returned map constructs a controller
-// behaviourally identical to core.NewAttackDecay(p), which lets the
-// experiment harness key its Attack/Decay grid cells by the same
-// canonical encoding registry requests use.
-func FromAttackDecay(p core.Params) Params {
-	refdecay := p.RefIPCDecay
-	if refdecay == 0 {
-		refdecay = 0.01
-	}
-	smoothing := p.IPCSmoothing
-	if smoothing == 0 {
-		smoothing = 0.25
-	}
-	return Params{
-		"deviation": p.DeviationThreshold,
-		"reaction":  p.ReactionChange,
-		"decay":     p.Decay,
-		"perfdeg":   p.PerfDegThreshold,
-		"refdecay":  refdecay,
-		"smoothing": smoothing,
-		"endstop":   float64(p.EndstopCount),
-		"fe_mhz":    p.FrontEndMHz,
-		"min_mhz":   p.MinMHz,
-		"max_mhz":   p.MaxMHz,
-	}
 }
 
 func offlineOpts(r Run, p Params) core.OfflineOptions {
@@ -162,7 +132,7 @@ func offlineOpts(r Run, p Params) core.OfflineOptions {
 // attackDecaySchema mirrors core.Params (Table 2) field for field; the
 // defaults are the paper's headline configuration. refdecay and
 // smoothing default to the effective values core applies when its
-// struct fields are zero, so the registry's defaults and the legacy
+// struct fields are zero, so the registry's defaults and the public
 // core.DefaultParams() construction behave identically.
 func attackDecaySchema() Schema {
 	d := core.DefaultParams()

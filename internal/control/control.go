@@ -9,7 +9,7 @@
 //     schedule search);
 //   - toward the result cache: it supplies the canonical parameter
 //     encoding that feeds resultcache.SpecKey, so every registered
-//     controller's runs are content-addressable under mcd-spec-v2;
+//     controller's runs are content-addressable under mcd-spec-v3;
 //   - toward the wire: its name and parameter schema are what the JSON
 //     "controller"/"params" request fields, GET /v1/controllers, and
 //     the CLI flag sets are generated from.
@@ -114,28 +114,22 @@ type Run struct {
 	Store *resultcache.Cache
 }
 
-// Simulate runs one spec through the run's Store, or directly when there
-// is none. The store key is the spec with its Name cleared and
-// RecordIntervals set, so runs that differ only in label or recording
-// simulate once. Each caller gets its own view of the stored result:
-// Config is the caller's Name, and Intervals are dropped unless the
-// caller asked for them. Recording is observational (the registry tests
-// pin it), so the view is byte-identical to sim.Run(spec). Specs whose
-// key cannot be computed (opaque controllers) run directly.
+// Simulate runs one spec through the run's Store. The store key is the
+// spec with its Name cleared and RecordIntervals set, so runs that
+// differ only in label or recording simulate once. Each caller gets its
+// own view of the stored result: Config is the caller's Name, and
+// Intervals are dropped unless the caller asked for them. Recording is
+// observational (the registry tests pin it), so the view is
+// byte-identical to sim.Run(spec). A nil Store or an opaque controller
+// (no key) runs directly, by the store's own rule.
 func (r Run) Simulate(spec sim.Spec) stats.Result {
-	if r.Store == nil {
-		return sim.Run(spec)
-	}
 	shared := spec
 	shared.Name = ""
 	shared.RecordIntervals = true
-	key, err := resultcache.SpecKey(shared)
-	if err != nil {
-		return sim.Run(spec)
-	}
+	key, _ := resultcache.SpecKey(shared)
 	res, _, err := r.Store.DoResult(key, func() (stats.Result, error) { return sim.Run(shared), nil })
 	if err != nil {
-		return sim.Run(spec)
+		return sim.Run(spec) // an undecodable stored entry
 	}
 	res.Config = spec.Name
 	if !spec.RecordIntervals {

@@ -369,10 +369,11 @@ func runByName(t *testing.T, name string, run Run) stats.Result {
 // run at the matched frequency, so purity closes the loop).
 func TestGlobalDefinitionMatchesGlobalMatch(t *testing.T) {
 	run := testRun(t)
-	base := sim.RunSynchronousAt(run.Config, run.Profile, run.Window, run.Warmup,
-		run.Config.MaxFreqMHz, "global")
-	_, want := core.GlobalMatch(run.Config, run.Profile, run.Window, run.Warmup,
-		base.TimePS, 0.03, "global")
+	base := sim.Run(sim.SynchronousSpec(run.Config, run.Profile, run.Window, run.Warmup,
+		run.Config.MaxFreqMHz, "global"))
+	_, want := core.GlobalMatch(base.TimePS, 0.03, func(f float64) stats.Result {
+		return sim.Run(sim.SynchronousSpec(run.Config, run.Profile, run.Window, run.Warmup, f, "global"))
+	})
 
 	res, err := Resolve("global", Params{"deg": 0.03, "base_ps": base.TimePS})
 	if err != nil {
@@ -419,19 +420,19 @@ func TestGlobalDefinitionMatchesGlobalMatch(t *testing.T) {
 	}
 }
 
-// FromAttackDecay must be behaviour-preserving: resolving the schema
-// map it produces constructs a controller whose run is byte-identical
-// to core.NewAttackDecay over the original struct — zero
-// RefIPCDecay/IPCSmoothing (core's implicit defaults) included.
-func TestFromAttackDecayEquivalence(t *testing.T) {
+// The registry's attack-decay at its schema defaults must run
+// byte-identically to core.NewAttackDecay over core.DefaultParams() —
+// whose zero RefIPCDecay/IPCSmoothing fields core replaces with the
+// values the schema spells out — so a parameterless request and the
+// public mcd.Params construction are one controller.
+func TestAttackDecayDefaultsMatchCore(t *testing.T) {
 	run := testRun(t)
-	p := core.DefaultParams() // RefIPCDecay and IPCSmoothing are zero here
 	direct := run.spec()
-	direct.Controller = core.NewAttackDecay(p)
+	direct.Controller = core.NewAttackDecay(core.DefaultParams())
 	direct.Name = "attack-decay"
 	want := sim.Run(direct)
 
-	res, err := Resolve("attack-decay", FromAttackDecay(p))
+	res, err := Resolve("attack-decay", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,33 +441,17 @@ func TestFromAttackDecayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := sim.Run(spec); !reflect.DeepEqual(want, got) {
-		t.Error("FromAttackDecay resolution runs differently from core.NewAttackDecay")
-	}
-
-	// And its canonical encoding equals the schema defaults', so bench
-	// grid cells built from core.DefaultParams() share addresses with
-	// parameterless service requests.
-	def, err := Resolve("attack-decay", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Canonical() != def.Canonical() {
-		t.Errorf("FromAttackDecay(DefaultParams()) canonical %q != schema defaults %q",
-			res.Canonical(), def.Canonical())
+		t.Error("attack-decay at schema defaults runs differently from core.NewAttackDecay(core.DefaultParams())")
 	}
 }
 
-// FromAttackDecay must cover every core.Params field: a field added
-// without extending the mapping would silently drop behaviour AND
-// alias behaviourally distinct runs onto one cache address (the map is
-// key material through the canonical encoding). Same pattern as
-// resultcache's TestKeyCoversEveryField.
-func TestFromAttackDecayCoversEveryField(t *testing.T) {
-	const covered = 10
-	if n := reflect.TypeOf(core.Params{}).NumField(); n != covered {
-		t.Errorf("core.Params has %d fields, FromAttackDecay maps %d: extend the mapping (and the attack-decay schema)", n, covered)
-	}
-	if n := len(FromAttackDecay(core.DefaultParams())); n != covered {
-		t.Errorf("FromAttackDecay returns %d parameters, want %d", n, covered)
+// The attack-decay schema must cover every core.Params field: a field
+// added without a schema entry would be unreachable from requests and
+// sweeps, and its value would not be key material through the
+// canonical encoding. Same pattern as resultcache's
+// TestKeyCoversEveryField.
+func TestAttackDecaySchemaCoversEveryField(t *testing.T) {
+	if n, f := reflect.TypeOf(core.Params{}).NumField(), len(attackDecaySchema()); n != f {
+		t.Errorf("core.Params has %d fields, the attack-decay schema %d: extend the schema (and attackDecayParams)", n, f)
 	}
 }

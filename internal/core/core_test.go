@@ -7,6 +7,7 @@ import (
 	"mcd/internal/clock"
 	"mcd/internal/pipeline"
 	"mcd/internal/sim"
+	"mcd/internal/stats"
 	"mcd/internal/workload"
 )
 
@@ -234,8 +235,10 @@ func TestGlobalMatchHitsDegradationTarget(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	const window = 150_000
 	const warm = 50_000
-	base := sim.RunSynchronousAt(cfg, bench.Profile, window, warm, 1000, "sync-base")
-	freq, res := GlobalMatch(cfg, bench.Profile, window, warm, base.TimePS, 0.04, "global-4%")
+	base := sim.Run(sim.SynchronousSpec(cfg, bench.Profile, window, warm, 1000, "sync-base"))
+	freq, res := GlobalMatch(base.TimePS, 0.04, func(f float64) stats.Result {
+		return sim.Run(sim.SynchronousSpec(cfg, bench.Profile, window, warm, f, "global-4%"))
+	})
 	deg := res.TimePS/base.TimePS - 1
 	if math.Abs(deg-0.04) > 0.02 {
 		t.Errorf("global scaling degradation = %v, want ~0.04 (freq %v)", deg, freq)
@@ -251,8 +254,10 @@ func TestGlobalMatchHitsDegradationTarget(t *testing.T) {
 func TestGlobalMatchZeroTargetStaysAtMax(t *testing.T) {
 	bench, _ := workload.Lookup("adpcm")
 	cfg := pipeline.DefaultConfig()
-	base := sim.RunSynchronousAt(cfg, bench.Profile, 50_000, 0, 1000, "sync-base")
-	freq, _ := GlobalMatch(cfg, bench.Profile, 50_000, 0, base.TimePS, 0, "global-0")
+	base := sim.Run(sim.SynchronousSpec(cfg, bench.Profile, 50_000, 0, 1000, "sync-base"))
+	freq, _ := GlobalMatch(base.TimePS, 0, func(f float64) stats.Result {
+		return sim.Run(sim.SynchronousSpec(cfg, bench.Profile, 50_000, 0, f, "global-0"))
+	})
 	if freq != 1000 {
 		t.Errorf("zero-degradation target should stay at 1000 MHz, got %v", freq)
 	}

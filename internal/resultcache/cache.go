@@ -11,8 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"mcd/internal/runner"
-	"mcd/internal/sim"
 	"mcd/internal/stats"
 )
 
@@ -278,10 +276,13 @@ func (o *Obs) probe(tier string, start time.Time) {
 // serializes memory-tier traffic; a failed disk persist degrades the
 // disk tier (counted in Stats.WriteErrors) instead of failing the
 // computed request. A failed compute is not stored. obs observes the
-// phases (see Obs); nil is the untraced path. On a nil cache it simply
-// computes: there is no probe, only obs's Compute bracket.
+// phases (see Obs); nil is the untraced path.
+//
+// This is the one store rule: a nil cache or an empty key (a run with
+// no content address, such as an opaque controller's) simply computes
+// — there is no probe, only obs's Compute bracket.
 func (c *Cache) DoBytes(key string, compute func() ([]byte, error), obs *Obs) ([]byte, bool, error) {
-	if c == nil {
+	if c == nil || key == "" {
 		b, err := observedCompute(compute, obs)
 		return b, false, err
 	}
@@ -388,9 +389,10 @@ func observedCompute(compute func() ([]byte, error), obs *Obs) ([]byte, error) {
 // cold cache is transparent to golden outputs); on a hit it decodes the
 // stored bytes — byte-identical to a recompute because runs are pure
 // and the encoding round-trips exactly, a property the package tests
-// enforce.
+// enforce. Under DoBytes's store rule (nil cache or empty key) it runs
+// directly, without encoding.
 func (c *Cache) DoResult(key string, run func() (stats.Result, error)) (stats.Result, bool, error) {
-	if c == nil {
+	if c == nil || key == "" {
 		r, err := run()
 		return r, false, err
 	}
@@ -411,28 +413,4 @@ func (c *Cache) DoResult(key string, run func() (stats.Result, error)) (stats.Re
 	}
 	r, err := DecodeResult(b)
 	return r, hit, err
-}
-
-// Task adapts one cacheable spec to a runner task: a drop-in for
-// runner.SpecTask that consults the cache first. Specs whose key cannot
-// be computed (opaque controller) and nil caches fall back to a plain
-// uncached run.
-func Task(c *Cache, name string, spec sim.Spec) runner.Task[stats.Result] {
-	if c == nil {
-		return runner.SpecTask(name, spec)
-	}
-	key, err := SpecKey(spec)
-	if err != nil {
-		return runner.SpecTask(name, spec)
-	}
-	return TaskKeyed(c, name, key, func() (stats.Result, error) { return sim.Run(spec), nil })
-}
-
-// TaskKeyed wraps an arbitrary deterministic computation under an
-// explicit key (built with SpecKeyExtra for compound experiments).
-func TaskKeyed(c *Cache, name, key string, run func() (stats.Result, error)) runner.Task[stats.Result] {
-	return runner.Task[stats.Result]{Name: name, Run: func(context.Context) (stats.Result, error) {
-		r, _, err := c.DoResult(key, run)
-		return r, err
-	}}
 }

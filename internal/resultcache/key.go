@@ -52,7 +52,8 @@ const specKeyVersion = "mcd-spec-v3"
 // ErrUncacheable reports a spec whose controller cannot be canonically
 // encoded: caching it would require proving two opaque controller
 // instances behave identically. Controllers opt in by implementing
-// Keyer (AttackDecay and OfflineController do).
+// Keyer (AttackDecay, OfflineController and the registry's pi and coord
+// controllers do).
 var ErrUncacheable = errors.New("resultcache: controller does not implement CacheKey")
 
 // Keyer is implemented by controllers that can describe their complete

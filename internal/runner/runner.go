@@ -16,9 +16,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-
-	"mcd/internal/sim"
-	"mcd/internal/stats"
 )
 
 // Task is one named unit of work. Name labels progress reports and panic
@@ -167,12 +164,4 @@ func runTask[T any](ctx context.Context, t Task[T]) (o Outcome[T], ran bool) {
 	ran = true
 	o.Value, o.Err = t.Run(ctx)
 	return o, ran
-}
-
-// SpecTask adapts one sim.Spec to a Task. The spec is captured by value,
-// so a caller may reuse and mutate a loop variable.
-func SpecTask(name string, spec sim.Spec) Task[stats.Result] {
-	return Task[stats.Result]{Name: name, Run: func(context.Context) (stats.Result, error) {
-		return sim.Run(spec), nil
-	}}
 }

@@ -52,6 +52,14 @@ func gridSpecs(window uint64) (names []string, specs []sim.Spec) {
 // runner layer: a 6-benchmark grid run serially through sim.Run must be
 // identical — every stats.Result field — to the pool at 1, 4 and 8
 // workers. A mismatch means simulations share hidden mutable state.
+// specTask adapts one sim.Spec to a Task. The spec is captured by value,
+// so a caller may reuse and mutate a loop variable.
+func specTask(name string, spec sim.Spec) runner.Task[stats.Result] {
+	return runner.Task[stats.Result]{Name: name, Run: func(context.Context) (stats.Result, error) {
+		return sim.Run(spec), nil
+	}}
+}
+
 func TestBatchMatchesSerial(t *testing.T) {
 	names, specs := gridSpecs(12_000)
 
@@ -66,7 +74,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 		names2, specs2 := gridSpecs(12_000)
 		tasks := make([]runner.Task[stats.Result], len(specs2))
 		for i := range specs2 {
-			tasks[i] = runner.SpecTask(names2[i], specs2[i])
+			tasks[i] = specTask(names2[i], specs2[i])
 		}
 		got, err := runner.Map(context.Background(), tasks, runner.Options{Workers: workers})
 		if err != nil {
@@ -125,7 +133,7 @@ func TestMapStress(t *testing.T) {
 			defer wg.Done()
 			tasks := make([]runner.Task[stats.Result], 6)
 			for i := range tasks {
-				tasks[i] = runner.SpecTask(fmt.Sprintf("adpcm/%d", i), sim.Spec{
+				tasks[i] = specTask(fmt.Sprintf("adpcm/%d", i), sim.Spec{
 					Config:         pipeline.DefaultConfig(),
 					Profile:        b.Profile,
 					Window:         4_000,

@@ -101,9 +101,9 @@ func Synchronous(cfg pipeline.Config) pipeline.Config {
 	return cfg
 }
 
-// SynchronousSpec returns the exact Spec RunSynchronousAt executes, so
-// callers that key or batch runs (the result cache, the bench harness)
-// can address the same computation RunSynchronousAt performs.
+// SynchronousSpec returns the spec of the fully synchronous processor
+// with the global clock scaled to freqMHz — conventional global
+// voltage/frequency scaling.
 func SynchronousSpec(cfg pipeline.Config, prof workload.Profile, window, warmup uint64, freqMHz float64, name string) Spec {
 	sc := Synchronous(cfg)
 	var init [clock.NumControllable]float64
@@ -114,10 +114,4 @@ func SynchronousSpec(cfg pipeline.Config, prof workload.Profile, window, warmup 
 		Config: sc, Profile: prof, Window: window, Warmup: warmup,
 		InitialFreqMHz: init, Name: name,
 	}
-}
-
-// RunSynchronousAt runs the fully synchronous processor with the global
-// clock scaled to freqMHz — conventional global voltage/frequency scaling.
-func RunSynchronousAt(cfg pipeline.Config, prof workload.Profile, window, warmup uint64, freqMHz float64, name string) stats.Result {
-	return Run(SynchronousSpec(cfg, prof, window, warmup, freqMHz, name))
 }

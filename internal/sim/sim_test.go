@@ -44,8 +44,8 @@ func TestSynchronousStripsMCDOverheads(t *testing.T) {
 
 func TestRunSynchronousAtScalesFrequency(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
-	fast := RunSynchronousAt(cfg, profile(), 30_000, 0, 1000, "fast")
-	slow := RunSynchronousAt(cfg, profile(), 30_000, 0, 500, "slow")
+	fast := Run(SynchronousSpec(cfg, profile(), 30_000, 0, 1000, "fast"))
+	slow := Run(SynchronousSpec(cfg, profile(), 30_000, 0, 500, "slow"))
 	if slow.TimePS <= fast.TimePS {
 		t.Errorf("500 MHz run (%v ps) not slower than 1 GHz run (%v ps)", slow.TimePS, fast.TimePS)
 	}

@@ -172,7 +172,7 @@ type Summary struct {
 // Summarize averages the comparisons the way the paper reports suite-wide
 // numbers. The power/performance ratio is reported both as the ratio of
 // the averages and as the average of per-benchmark ratios (the paper is
-// ambiguous between the two; see EXPERIMENTS.md).
+// ambiguous between the two).
 func Summarize(cs []Comparison) Summary {
 	var s Summary
 	if len(cs) == 0 {

@@ -46,12 +46,12 @@ func FuzzParseParams(f *testing.F) {
 	})
 }
 
-// decodeStrict decodes one request body as the service does: unknown
-// fields are an error.
-func decodeStrict(b []byte, r *RunRequest) error {
+// decodeStrict decodes one request body as the service and the fabric
+// worker do: unknown fields are an error.
+func decodeStrict(b []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
-	return dec.Decode(r)
+	return dec.Decode(v)
 }
 
 // FuzzResolve decodes arbitrary bytes into a RunRequest strictly and
@@ -106,6 +106,65 @@ func FuzzResolve(f *testing.F) {
 		}
 		if b, _ := json.Marshal(again.Request()); !bytes.Equal(b, norm) {
 			t.Fatalf("normalizing is not idempotent:\n%s\n%s", norm, b)
+		}
+	})
+}
+
+// FuzzFabricExecute decodes arbitrary bytes as a fabric worker decodes
+// POST /v1/fabric/execute — strictly — and resolves the carried run,
+// without running it. Nothing panics; and an execute the worker would
+// accept (it resolves, and its key is empty or the resolved one)
+// re-encodes to a body that decodes and resolves under the same key.
+func FuzzFabricExecute(f *testing.F) {
+	valid := RunRequest{Benchmark: "adpcm", Controller: "pi", Params: map[string]float64{"kp": 0.125},
+		Window: 8000, Warmup: U64(4000)}
+	key, err := valid.Key()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := json.Marshal(FabricExecute{Key: key, Run: valid})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	for _, s := range []string{
+		`{}`,
+		`{"key":"","run":{}}`,
+		`{"run":{"benchmark":"mcf","config":"mcd","window":8000,"warmup":4000}}`,
+		`{"key":"00","run":{"benchmark":"adpcm","controller":"dynamic-1","window":8000}}`,
+		`{"run":{"benchmark":"adpcm","controller":"global","params":{"deg":0.02,"base_ps":1e9},"fidelity":"sampled"}}`,
+		`{"run":{"benchmark":"adpcm","warmup":0,"interval":0,"slew_ns_per_mhz":0}}`,
+		`{"run":{"controller":"pi","params":{"nope":1}}}`,
+		`{"run":{"benchmark":"nonesuch"}}`,
+		`{"key":"k","run":{},"extra":1}`,
+		`{"run":{"async":true}}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ex FabricExecute
+		if decodeStrict(data, &ex) != nil {
+			return
+		}
+		res, err := ex.Run.Resolve()
+		if err != nil || (ex.Key != "" && ex.Key != res.Key) {
+			return // the worker answers 400 or 422
+		}
+		body, err := json.Marshal(ex)
+		if err != nil {
+			t.Fatalf("accepted execute does not encode: %v", err)
+		}
+		var back FabricExecute
+		if err := decodeStrict(body, &back); err != nil {
+			t.Fatalf("re-encoded execute %s does not decode: %v", body, err)
+		}
+		again, err := back.Run.Resolve()
+		if err != nil {
+			t.Fatalf("re-encoded execute %s rejected: %v", body, err)
+		}
+		if back.Key != ex.Key || again.Key != res.Key {
+			t.Fatalf("re-encoded execute %s: key %q resolves %q, original %q resolves %q",
+				body, back.Key, again.Key, ex.Key, res.Key)
 		}
 	})
 }

@@ -97,12 +97,12 @@ type RunHooks struct {
 // request. Every measured control interval goes to h.Emit as it is
 // produced.
 //
-// The store rule lives here alone: a nil store computes directly; a
-// request whose controller has no content address
-// (resultcache.ErrUncacheable) computes uncached; any other key error
-// fails the run; everything else goes through c under r.Key, where a hit
-// (including joining an identical in-flight computation) returns the
-// stored bytes without simulating and emits nothing. Cancelling ctx
+// The run goes through c under r.Key by the store's own rule
+// (resultcache.Cache.DoBytes): a nil store or a request whose controller
+// has no content address (resultcache.ErrUncacheable, an empty Key)
+// computes directly, and a hit (including joining an identical
+// in-flight computation) returns the stored bytes without simulating
+// and emits nothing. Any other key error fails the run. Cancelling ctx
 // closes the session at the next interval boundary and returns
 // ctx.Err(); the partial result is discarded, never stored.
 func (r Resolved) Run(ctx context.Context, c *resultcache.Cache, h RunHooks) (body []byte, hit bool, err error) {
@@ -139,11 +139,8 @@ func (r Resolved) Run(ctx context.Context, c *resultcache.Cache, h RunHooks) (bo
 		}
 		return resultcache.EncodeResult(ses.Close())
 	}
-	if c != nil && r.keyErr != nil {
-		if !errors.Is(r.keyErr, resultcache.ErrUncacheable) {
-			return nil, false, r.keyErr
-		}
-		c = nil
+	if r.keyErr != nil && !errors.Is(r.keyErr, resultcache.ErrUncacheable) {
+		return nil, false, r.keyErr
 	}
 	return c.DoBytes(r.Key, compute, h.Cache)
 }

@@ -170,10 +170,10 @@ func NewResultCache(o CacheOptions) (*ResultCache, error) { return resultcache.N
 // SpecKey returns the content address of a run: the SHA-256 of a
 // canonical, versioned encoding of every field of the spec. Specs whose
 // Controller cannot describe itself canonically (any controller other
-// than nil, NewAttackDecay's, or an off-line schedule) are uncacheable
-// and return an error; custom controllers opt in by implementing
-// CacheKey() string (see internal/resultcache.Keyer and DESIGN.md,
-// "Serving layer").
+// than nil, NewAttackDecay's, an off-line schedule, or the registry's pi
+// and coord) are uncacheable and return an error; custom controllers opt
+// in by implementing CacheKey() string (see internal/resultcache.Keyer
+// and DESIGN.md, "Serving layer").
 func SpecKey(s Spec) (string, error) { return resultcache.SpecKey(s) }
 
 // BatchOptions configures RunBatch.
@@ -201,13 +201,16 @@ type BatchOptions struct {
 func RunBatch(ctx context.Context, reqs []RunRequest, opts BatchOptions) ([]BatchResult, error) {
 	tasks := make([]runner.Task[Result], len(reqs))
 	for i, r := range reqs {
-		switch {
-		case r.Spec != nil && r.Do == nil:
-			tasks[i] = resultcache.Task(opts.Cache, r.Name, *r.Spec)
-		case r.Do != nil && r.Spec == nil:
-			tasks[i] = runner.Task[Result]{Name: r.Name, Run: r.Do}
-		default:
+		if (r.Spec == nil) == (r.Do == nil) {
 			return nil, fmt.Errorf("mcd: request %d (%q) must set exactly one of Spec and Do", i, r.Name)
+		}
+		tasks[i] = runner.Task[Result]{Name: r.Name, Run: r.Do}
+		if spec := r.Spec; spec != nil {
+			tasks[i].Run = func(context.Context) (Result, error) {
+				key, _ := resultcache.SpecKey(*spec) // "": uncacheable, runs directly
+				res, _, err := opts.Cache.DoResult(key, func() (Result, error) { return sim.Run(*spec), nil })
+				return res, err
+			}
 		}
 	}
 	outs, err := runner.Map(ctx, tasks, runner.Options{Workers: opts.Workers, OnDone: opts.Progress})
@@ -225,7 +228,7 @@ func Synchronous(cfg Config) Config { return sim.Synchronous(cfg) }
 // RunSynchronousAt runs the fully synchronous processor at a global
 // frequency — conventional global voltage/frequency scaling.
 func RunSynchronousAt(cfg Config, prof Profile, window, warmup uint64, freqMHz float64, name string) Result {
-	return sim.RunSynchronousAt(cfg, prof, window, warmup, freqMHz, name)
+	return sim.Run(sim.SynchronousSpec(cfg, prof, window, warmup, freqMHz, name))
 }
 
 // Controller registry types: every control algorithm is a named,
@@ -315,7 +318,7 @@ func BuildOffline(cfg Config, prof Profile, window uint64, opts OfflineOptions) 
 // synchronous processor matches a target slowdown (the Global(·) rows of
 // Table 6).
 func GlobalMatch(cfg Config, prof Profile, window, warmup uint64, baseTime, targetDeg float64, name string) (float64, Result) {
-	return core.GlobalMatch(cfg, prof, window, warmup, baseTime, targetDeg, name)
+	return core.GlobalMatch(baseTime, targetDeg, func(f float64) Result { return RunSynchronousAt(cfg, prof, window, warmup, f, name) })
 }
 
 // Workload modeling types: each benchmark of Table 5 is a deterministic
