@@ -338,3 +338,67 @@ func TestSaturated(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestReapedFleetComputesLocally pins the empty-fleet fallback: specs
+// queued behind a worker that stops heartbeating and never answers are
+// computed on the coordinator once that worker is reaped, and each
+// local computation is counted.
+func TestReapedFleetComputesLocally(t *testing.T) {
+	cache, err := resultcache.New(resultcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	c := fabric.NewCoordinator(fabric.Options{
+		Cache: cache, Metrics: reg, Heartbeat: 10 * time.Millisecond, HedgeAfter: time.Hour,
+	})
+	defer c.Close()
+
+	// The stuck worker holds its one dispatch until released, then drops
+	// the connection, as a hung process's would be when it finally dies.
+	release := make(chan struct{})
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+		panic(http.ErrAbortHandler)
+	}))
+	defer stuck.Close()
+	c.Register(wire.FabricHello{ID: "stuck", URL: stuck.URL, Slots: 1})
+
+	reqs := []wire.RunRequest{small, small, small}
+	reqs[1].Benchmark, reqs[2].Benchmark = "mcf", "gzip"
+	bodies := make([][]byte, len(reqs))
+	errs := make([]error, len(reqs))
+	done := make(chan int)
+	for i, r := range reqs {
+		go func() {
+			req := r.Normalize()
+			key, _ := req.Key()
+			bodies[i], _, errs[i] = c.Execute(context.Background(), key, req)
+			done <- i
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); c.Workers() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the silent worker was never reaped")
+		}
+	}
+	close(release)
+	for range reqs {
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("Execute did not complete after the fleet emptied")
+		}
+	}
+	for i, r := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", r.Benchmark, errs[i])
+		}
+		if !bytes.Equal(bodies[i], localBytes(t, r)) {
+			t.Fatalf("%s: local-fallback bytes differ from a direct run", r.Benchmark)
+		}
+	}
+	if scrape := render(t, reg); !strings.Contains(scrape, "mcd_fabric_local_runs_total 3\n") {
+		t.Fatalf("expected three local runs; metrics:\n%s", scrape)
+	}
+}
