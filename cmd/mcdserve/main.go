@@ -54,9 +54,9 @@
 //
 // A -coordinator keeps the whole API surface but dispatches every
 // cache-missing, content-addressed spec to its registered workers
-// (work-stealing queues, hedged retries, dead-worker requeue); the
-// shared result store means a spec computed anywhere is a hit
-// everywhere, and determinism makes the distributed bytes identical to
+// (one queue every worker slot pulls from, hedged retries, retried
+// failures); the shared result store means a spec computed anywhere is
+// a hit everywhere, and determinism makes the distributed bytes identical to
 // a single-process run. A -worker serves POST /v1/fabric/execute and
 // heartbeats to -join; -advertise overrides the URL it registers
 // (default: 127.0.0.1 at the -addr port). When the fleet is saturated

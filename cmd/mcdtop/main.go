@@ -9,8 +9,8 @@
 //     stream gap-record counter
 //   - per-runner busy state and attributed simulation throughput
 //   - on a fabric coordinator: the worker fleet (per-worker busy,
-//     queue depth, simulated MIPS, heartbeat age) plus dispatch,
-//     hedge, steal and requeue counters
+//     simulated MIPS, heartbeat age) plus the queue depth and the
+//     dispatch, hedge and requeue counters
 //   - the in-flight job table with age, progress, phase, and whether
 //     the job ran locally or was dispatched to the fabric
 //   - a live interval line (index, simulated time, IPC, per-domain MHz)
@@ -367,12 +367,10 @@ func (f *frame) renderFabric(w io.Writer) {
 	}
 	disp := f.met.series("mcd_fabric_dispatches_total")
 	req := f.met.series("mcd_fabric_requeues_total")
-	fmt.Fprintf(w, "fabric  workers %.0f   dispatch ok %.0f err %.0f cancel %.0f   hedges %.0f  steals %.0f  requeue dead %.0f err %.0f  local %.0f\n",
-		f.met["mcd_fabric_workers"],
+	fmt.Fprintf(w, "fabric  workers %.0f  queue %.0f   dispatch ok %.0f err %.0f cancel %.0f   hedges %.0f  requeues %.0f  local %.0f\n",
+		f.met["mcd_fabric_workers"], f.met["mcd_fabric_queue"],
 		disp["ok"], disp["error"], disp["cancelled"],
-		f.met["mcd_fabric_hedges_total"], f.met["mcd_fabric_steals_total"],
-		req["dead"], req["error"], f.met["mcd_fabric_local_runs_total"])
-	queue := f.met.series("mcd_fabric_worker_queue")
+		f.met["mcd_fabric_hedges_total"], req["error"], f.met["mcd_fabric_local_runs_total"])
 	mips := f.met.series("mcd_fabric_worker_sim_mips")
 	beat := f.met.series("mcd_fabric_worker_last_heartbeat_seconds")
 	ids := make([]string, 0, len(busy))
@@ -381,8 +379,8 @@ func (f *frame) renderFabric(w io.Writer) {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		fmt.Fprintf(w, "  %-28s busy %.0f  queue %.0f  %.1f MIPS  beat %.1fs ago\n",
-			id, busy[id], queue[id], mips[id], beat[id])
+		fmt.Fprintf(w, "  %-28s busy %.0f  %.1f MIPS  beat %.1fs ago\n",
+			id, busy[id], mips[id], beat[id])
 	}
 }
 

@@ -28,8 +28,8 @@ type Params struct {
 	// decreases are suppressed while the interval IPC sits more than
 	// this fraction below the reference (best recent) IPC (paper range
 	// 0–12%; Figure 5a shows measured degradation tracking this value as
-	// a target). See DESIGN.md for the interpretation of Listing 1's
-	// guard.
+	// a target). DESIGN.md, "Attack/Decay's IPC guard", reads Listing
+	// 1's guard.
 	PerfDegThreshold float64
 	// RefIPCDecay is the per-interval decay of the reference IPC, which
 	// lets the reference adapt when the program enters an inherently

@@ -3,20 +3,19 @@
 // processes, and the worker side that executes them. Determinism makes
 // distribution pure scheduling — any worker computing a spec key yields
 // byte-identical results, so the coordinator is free to dispatch,
-// hedge, steal and requeue work without ever affecting output bytes.
+// hedge and retry work without ever affecting output bytes.
 //
-// The coordinator keeps one queue per registered worker and a fixed
-// number of dispatch slots (the worker's advertised concurrency). New
-// specs go to the least-loaded worker; an idle slot steals from the
-// longest other queue, so one straggler cannot strand a tail of work.
-// A spec that outlives the hedge deadline (an adaptive latency
-// percentile) is re-dispatched to a second worker — the first result
-// wins and the loser's request is cancelled; byte-identity makes the
-// race unobservable. Workers that miss enough heartbeats are presumed
-// dead: their queued specs move to surviving workers and their
-// in-flight dispatches fail over through the ordinary retry path.
-// When no workers remain the coordinator computes locally, so a
-// coordinator with zero workers is exactly a single-process server.
+// The coordinator keeps one FIFO queue. Every registered worker runs a
+// fixed number of dispatch slots (its advertised concurrency), and each
+// idle slot takes the oldest queued spec its worker has not yet tried —
+// any spec once every alive worker has tried it. A spec that outlives
+// the hedge deadline (an adaptive latency percentile) while running is
+// queued once more for an untried worker: the first result wins and the
+// loser's request is cancelled; byte-identity makes the race
+// unobservable. A failed dispatch goes back on the queue. Workers that
+// miss enough heartbeats are dropped; when none remain the coordinator
+// computes the queue itself, so a coordinator with zero workers is
+// exactly a single-process server.
 package fabric
 
 import (
@@ -28,6 +27,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,37 +65,36 @@ type Options struct {
 	// HedgeAfter fixes the hedged-retry deadline; zero selects the
 	// adaptive policy (2× the p95 of recent dispatch latencies).
 	HedgeAfter time.Duration
-	// MaxAttempts bounds how many workers one spec may fail on before
-	// the error is surfaced (default 3). Hedges do not count.
-	MaxAttempts int
-	// QueueFactor sets the saturation threshold: the fleet is
-	// Saturated once queued+in-flight work reaches QueueFactor × the
-	// fleet's total slots (default 4).
-	QueueFactor int
 	// Client issues the dispatch and registration HTTP requests; nil
 	// uses a default client with no overall timeout (dispatches are
 	// bounded by hedging and context cancellation, not a wall clock).
 	Client *http.Client
 }
 
-// deadBeats is how many missed heartbeats mark a worker dead.
-const deadBeats = 5
-
-// latWindow is how many recent dispatch latencies the adaptive hedge
-// deadline is computed over.
-const latWindow = 64
+const (
+	// deadBeats is how many missed heartbeats mark a worker dead.
+	deadBeats = 5
+	// latWindow is how many recent dispatch latencies the adaptive
+	// hedge deadline is computed over.
+	latWindow = 64
+	// maxAttempts is the number of failed dispatches after which a
+	// spec's error is surfaced. Hedges do not count.
+	maxAttempts = 3
+	// queueFactor sets the saturation threshold: the fleet is Saturated
+	// once queued plus in-flight work reaches queueFactor × its slots.
+	queueFactor = 4
+)
 
 // result is one completed attempt at an item.
 type result struct {
 	body   []byte
 	err    error
-	worker string
 	remote bool
 }
 
-// item is one spec execution in flight through the fleet. It may sit
-// in several queues at once (hedging, requeue after a steal race); the
-// finished flag makes every copy after the first delivery inert.
+// item is one spec execution in flight through the fleet. It may sit in
+// the queue more than once (a hedge beside a requeue); the finished flag
+// makes every copy after the first delivery inert.
 type item struct {
 	key string
 	req wire.RunRequest
@@ -103,40 +102,21 @@ type item struct {
 
 	resCh chan result // buffered 1; first deliver wins
 
+	// Guarded by Coordinator.mu.
+	tried  []string // workers this item was dispatched to
+	hedged bool
+	fails  int
+
 	mu       sync.Mutex
 	finished bool
-	hedged   bool
-	fails    int
-	last     string   // worker of the most recent attempt
-	bad      []string // workers this item already failed on
 	cancels  []context.CancelFunc
 }
 
-// ban records a failed worker so stealing won't bounce the item back
-// to it; requeue's placement also avoids every banned worker.
-func (it *item) ban(worker string) []string {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	it.bad = append(it.bad, worker)
-	return append([]string(nil), it.bad...)
-}
-
-func (it *item) bannedFrom(worker string) bool {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	for _, b := range it.bad {
-		if b == worker {
-			return true
-		}
-	}
-	return false
-}
-
-// begin opens one dispatch attempt: a cancellable sub-context of the
-// caller's, registered so the winning attempt can cancel the rest.
-// Returns ok=false when the item is already finished (a stale queue
-// copy — the pump just drops it).
-func (it *item) begin(worker string) (context.Context, bool) {
+// begin opens one attempt: a cancellable sub-context of the caller's,
+// registered so the winning attempt can cancel the rest. Returns
+// ok=false when the item is already finished (a stale queue copy — the
+// slot just drops it).
+func (it *item) begin() (context.Context, bool) {
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	if it.finished {
@@ -144,7 +124,6 @@ func (it *item) begin(worker string) (context.Context, bool) {
 	}
 	actx, cancel := context.WithCancel(it.ctx)
 	it.cancels = append(it.cancels, cancel)
-	it.last = worker
 	return actx, true
 }
 
@@ -187,41 +166,37 @@ type worker struct {
 	slots int
 
 	// Guarded by Coordinator.mu.
-	queue    []*item
 	inflight int
 	lastBeat time.Time
-	busySelf int
 	simMIPS  float64
 	gone     bool
 }
 
-// coordMetrics bundles the coordinator's counters; the per-worker
-// gauges are callback families sampled from the worker table at scrape.
+// coordMetrics bundles the coordinator's counters; the queue and
+// per-worker gauges are callback families sampled at scrape.
 type coordMetrics struct {
 	dispatches *metrics.CounterVec // outcome: ok | error | cancelled
-	requeues   *metrics.CounterVec // reason: dead | error
+	requeues   *metrics.CounterVec // reason: error
 	hedges     *metrics.Counter
-	steals     *metrics.Counter
 	localRuns  *metrics.Counter
 }
 
-// Coordinator owns the worker registry, the per-worker queues and the
-// dispatch pumps. Construct with NewCoordinator.
+// Coordinator owns the worker registry, the queue and the dispatch
+// slots. Construct with NewCoordinator.
 type Coordinator struct {
-	cache       *resultcache.Cache
-	trc         *trace.Ring
-	log         *slog.Logger
-	client      *http.Client
-	hb          time.Duration
-	dead        time.Duration
-	hedgeAfter  time.Duration
-	maxAttempts int
-	queueFactor int
-	met         *coordMetrics
+	cache      *resultcache.Cache
+	trc        *trace.Ring
+	log        *slog.Logger
+	client     *http.Client
+	hb         time.Duration
+	dead       time.Duration
+	hedgeAfter time.Duration
+	met        *coordMetrics
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	workers map[string]*worker
+	cond    *sync.Cond // signalled whenever the queue or the fleet changes
+	queue   []*item
+	workers map[string]*worker // alive workers only
 	closed  bool
 
 	wg   sync.WaitGroup // in-flight Execute calls, for the shutdown drain
@@ -237,12 +212,6 @@ func NewCoordinator(o Options) *Coordinator {
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = time.Second
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.QueueFactor <= 0 {
-		o.QueueFactor = 4
-	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
 	}
@@ -254,24 +223,21 @@ func NewCoordinator(o Options) *Coordinator {
 		reg = metrics.New()
 	}
 	c := &Coordinator{
-		cache:       o.Cache,
-		trc:         o.Trace,
-		log:         o.Logger,
-		client:      o.Client,
-		hb:          o.Heartbeat,
-		dead:        deadBeats * o.Heartbeat,
-		hedgeAfter:  o.HedgeAfter,
-		maxAttempts: o.MaxAttempts,
-		queueFactor: o.QueueFactor,
-		workers:     map[string]*worker{},
-		stop:        make(chan struct{}),
+		cache:      o.Cache,
+		trc:        o.Trace,
+		log:        o.Logger,
+		client:     o.Client,
+		hb:         o.Heartbeat,
+		dead:       deadBeats * o.Heartbeat,
+		hedgeAfter: o.HedgeAfter,
+		workers:    map[string]*worker{},
+		stop:       make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.met = &coordMetrics{
 		dispatches: reg.CounterVec("mcd_fabric_dispatches_total", "Dispatch attempts to workers, by outcome: ok, error (requeued), or cancelled (hedge loser or departed caller).", "outcome"),
-		requeues:   reg.CounterVec("mcd_fabric_requeues_total", "Specs moved to another worker, by reason: dead (worker missed heartbeats) or error (dispatch failed).", "reason"),
-		hedges:     reg.Counter("mcd_fabric_hedges_total", "Specs re-dispatched to a second worker after the hedge deadline; the first byte-identical result wins."),
-		steals:     reg.Counter("mcd_fabric_steals_total", "Specs taken from another worker's queue by an idle dispatch slot."),
+		requeues:   reg.CounterVec("mcd_fabric_requeues_total", "Specs put back on the queue, by reason: error (dispatch failed).", "reason"),
+		hedges:     reg.Counter("mcd_fabric_hedges_total", "Running specs queued again for a second worker after the hedge deadline; the first byte-identical result wins."),
 		localRuns:  reg.Counter("mcd_fabric_local_runs_total", "Specs computed on the coordinator itself because no workers were registered or alive."),
 	}
 	// Pre-touch the closed label sets so never-fired counters scrape
@@ -279,18 +245,19 @@ func NewCoordinator(o Options) *Coordinator {
 	for _, outcome := range []string{"ok", "error", "cancelled"} {
 		c.met.dispatches.With(outcome)
 	}
-	for _, reason := range []string{"dead", "error"} {
-		c.met.requeues.With(reason)
-	}
+	c.met.requeues.With("error")
 	reg.GaugeFunc("mcd_fabric_workers", "Workers currently registered and heartbeating.", func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return float64(len(c.workers))
 	})
+	reg.GaugeFunc("mcd_fabric_queue", "Specs waiting for a dispatch slot.", func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(len(c.queue))
+	})
 	reg.GaugeVecFunc("mcd_fabric_worker_busy", "In-flight dispatches per worker (coordinator's view).", "worker",
 		c.workerGauges(func(w *worker) float64 { return float64(w.inflight) }))
-	reg.GaugeVecFunc("mcd_fabric_worker_queue", "Queued specs per worker.", "worker",
-		c.workerGauges(func(w *worker) float64 { return float64(len(w.queue)) }))
 	reg.GaugeVecFunc("mcd_fabric_worker_sim_mips", "Worker self-reported simulated MIPS from its last heartbeat.", "worker",
 		c.workerGauges(func(w *worker) float64 { return w.simMIPS }))
 	reg.GaugeVecFunc("mcd_fabric_worker_last_heartbeat_seconds", "Seconds since the worker's last heartbeat.", "worker",
@@ -333,8 +300,8 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // Register records one worker hello/heartbeat, starting its dispatch
-// pumps on first contact. Re-registration after the coordinator
-// declared the worker dead is a fresh join (new pumps, empty queue).
+// slots on first contact. Re-registration after the coordinator
+// declared the worker dead is a fresh join.
 func (c *Coordinator) Register(h wire.FabricHello) wire.FabricWelcome {
 	now := time.Now()
 	c.mu.Lock()
@@ -351,13 +318,12 @@ func (c *Coordinator) Register(h wire.FabricHello) wire.FabricWelcome {
 		w = &worker{id: h.ID, url: strings.TrimRight(h.URL, "/"), slots: slots}
 		c.workers[h.ID] = w
 		for i := 0; i < slots; i++ {
-			go c.pump(w)
+			go c.slot(w)
 		}
 		c.log.Info("fabric: worker joined", "worker", h.ID, "url", w.url, "slots", slots)
 		c.cond.Broadcast()
 	}
 	w.lastBeat = now
-	w.busySelf = h.Busy
 	w.simMIPS = h.SimMIPS
 	return wire.FabricWelcome{OK: true, HeartbeatMillis: c.hb.Milliseconds()}
 }
@@ -370,21 +336,18 @@ func (c *Coordinator) Workers() int {
 }
 
 // Saturated reports whether the whole fleet is saturated: queued plus
-// in-flight work at QueueFactor times the fleet's total dispatch
-// slots. With no workers it reports false — the coordinator computes
-// locally then, and the manager's own queue bound is the backpressure.
+// in-flight work at queueFactor times the fleet's total dispatch slots.
+// With no workers it reports false — the coordinator computes locally
+// then, and the manager's own queue bound is the backpressure.
 func (c *Coordinator) Saturated() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	slots, load := 0, 0
+	slots, load := 0, len(c.queue)
 	for _, w := range c.workers {
 		slots += w.slots
-		load += w.inflight + len(w.queue)
+		load += w.inflight
 	}
-	if slots == 0 {
-		return false
-	}
-	return load >= slots*c.queueFactor
+	return slots > 0 && load >= slots*queueFactor
 }
 
 // Execute computes the canonical result body for req (content address
@@ -406,27 +369,25 @@ func (c *Coordinator) Execute(ctx context.Context, key string, req wire.RunReque
 	return body, hit, err
 }
 
-// executeFleet runs one cache-missing spec through the fleet: enqueue
-// on the least-loaded worker, hedge at the deadline, return the first
-// result. With no workers it computes locally — a coordinator alone is
-// exactly a single-process server.
+// executeFleet runs one cache-missing spec through the fleet: queue it,
+// hedge at the deadline, return the first result. With no workers it
+// computes locally — a coordinator alone is exactly a single-process
+// server.
 func (c *Coordinator) executeFleet(ctx context.Context, key string, req wire.RunRequest) ([]byte, bool, error) {
+	it := &item{key: key, req: req, ctx: ctx, resCh: make(chan result, 1)}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, false, ErrClosed
 	}
-	w := c.leastLoadedLocked()
-	if w == nil {
+	if len(c.workers) == 0 {
 		c.mu.Unlock()
-		c.met.localRuns.Inc()
-		b, err := c.localRun(ctx, req)
-		return b, false, err
+		c.runLocal(it)
+		r := <-it.resCh
+		return r.body, r.remote, r.err
 	}
-	it := &item{key: key, req: req, ctx: ctx, resCh: make(chan result, 1)}
-	w.queue = append(w.queue, it)
+	c.pushLocked(it)
 	c.wg.Add(1)
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	defer c.wg.Done()
 	defer it.finish()
@@ -439,7 +400,7 @@ func (c *Coordinator) executeFleet(ctx context.Context, key string, req wire.Run
 			return r.body, r.remote, r.err
 		case <-hedge.C:
 			c.hedge(it)
-			// Re-arm: a hedge that found no second worker retries at the
+			// Re-arm: a hedge that found no untried worker retries at the
 			// next deadline; a placed hedge makes later fires no-ops.
 			hedge.Reset(c.hedgeDelay())
 		case <-ctx.Done():
@@ -448,137 +409,95 @@ func (c *Coordinator) executeFleet(ctx context.Context, key string, req wire.Run
 	}
 }
 
-// localRun computes one spec on the coordinator itself, cancellable at
-// interval boundaries. No cache: the caller's DoBytes owns storage.
-func (c *Coordinator) localRun(ctx context.Context, req wire.RunRequest) ([]byte, error) {
-	run, err := req.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	body, _, err := run.Run(ctx, nil, wire.RunHooks{})
-	return body, err
-}
-
-// leastLoadedLocked picks the alive worker with the lowest load per
-// slot, excluding the named workers (hedges avoid the first attempt's
-// machine; requeues avoid every machine the item failed on). Callers
-// hold c.mu.
-func (c *Coordinator) leastLoadedLocked(exclude ...string) *worker {
-	var best *worker
-	var bestLoad float64
-next:
-	for _, w := range c.workers {
-		if w.gone {
-			continue
-		}
-		for _, e := range exclude {
-			if w.id == e {
-				continue next
-			}
-		}
-		load := float64(w.inflight+len(w.queue)) / float64(w.slots)
-		if best == nil || load < bestLoad {
-			best, bestLoad = w, load
-		}
-	}
-	return best
-}
-
-// hedge re-dispatches one still-running item to a second worker. At
-// most one hedge per item; the first result delivered wins and cancels
-// the other attempt.
-func (c *Coordinator) hedge(it *item) {
-	it.mu.Lock()
-	if it.finished || it.hedged {
-		it.mu.Unlock()
+// runLocal computes an item on the coordinator itself, cancellable at
+// interval boundaries, so admitted work completes without a fleet. No
+// cache: the caller's DoBytes owns storage.
+func (c *Coordinator) runLocal(it *item) {
+	actx, ok := it.begin()
+	if !ok {
 		return
+	}
+	c.met.localRuns.Inc()
+	run, err := it.req.Resolve()
+	var body []byte
+	if err == nil {
+		body, _, err = run.Run(actx, nil, wire.RunHooks{})
+	}
+	it.deliver(result{body: body, err: err})
+}
+
+// pushLocked appends an item to the queue and wakes the slots. Callers
+// hold c.mu.
+func (c *Coordinator) pushLocked(it *item) {
+	c.queue = append(c.queue, it)
+	c.cond.Broadcast()
+}
+
+// untriedLocked reports whether some alive worker has not tried it.
+// Callers hold c.mu.
+func (c *Coordinator) untriedLocked(it *item) bool {
+	for id := range c.workers {
+		if !slices.Contains(it.tried, id) {
+			return true
+		}
+	}
+	return false
+}
+
+// hedge queues a running item once more, for a worker that has not
+// tried it. At most one hedge per item; the first result delivered wins
+// and cancels the other attempt.
+func (c *Coordinator) hedge(it *item) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if it.hedged || len(it.tried) == 0 || !c.untriedLocked(it) {
+		return // already hedged, not yet running, or nobody to hedge to
 	}
 	it.hedged = true
-	last := it.last
-	it.mu.Unlock()
-	c.mu.Lock()
-	w := c.leastLoadedLocked(last)
-	if w == nil {
-		it.mu.Lock()
-		it.hedged = false // nobody to hedge to; a later deadline may retry
-		it.mu.Unlock()
-		c.mu.Unlock()
-		return
-	}
-	w.queue = append(w.queue, it)
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	c.pushLocked(it)
 	c.met.hedges.Inc()
-	c.instant("hedge", it.key, w.id)
-	c.log.Info("fabric: hedged dispatch", "key", it.key, "worker", w.id, "first", last)
+	first := it.tried[len(it.tried)-1]
+	c.instant("hedge", it.key, first)
+	c.log.Info("fabric: hedged dispatch", "key", it.key, "first", first)
 }
 
-// pump is one dispatch slot of one worker: pop from the worker's own
-// queue, steal from the longest other queue when idle, POST the spec,
-// deliver the result. Pumps exit when their worker is declared dead or
-// — after draining the queues — when the coordinator closes.
-func (c *Coordinator) pump(w *worker) {
-	for {
-		c.mu.Lock()
-		var it *item
-		for {
-			if w.gone {
-				c.mu.Unlock()
-				return
-			}
-			it = c.takeLocked(w)
-			if it != nil {
-				break
-			}
-			if c.closed {
-				c.mu.Unlock()
-				return
-			}
-			c.cond.Wait()
+// slot is one dispatch slot of one worker: take the oldest queued item
+// the worker may run, POST it, deliver the result. Slots exit when their
+// worker is declared dead or — once the queue is drained — when the
+// coordinator closes.
+func (c *Coordinator) slot(w *worker) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !w.gone {
+		if it := c.takeLocked(w); it != nil {
+			w.inflight++
+			c.mu.Unlock()
+			c.dispatch(w, it)
+			c.mu.Lock()
+			w.inflight--
+			continue
 		}
-		w.inflight++
-		c.mu.Unlock()
-		c.dispatch(w, it)
-		c.mu.Lock()
-		w.inflight--
-		c.mu.Unlock()
+		if c.closed && len(c.queue) == 0 {
+			return
+		}
+		c.cond.Wait()
 	}
 }
 
-// takeLocked pops the next item: own queue first, then a steal from
-// the tail of the longest other alive queue. Callers hold c.mu.
+// takeLocked removes the oldest item w has not tried — or, once every
+// alive worker has tried an item, that item too — and records w as
+// having tried it. Callers hold c.mu.
 func (c *Coordinator) takeLocked(w *worker) *item {
-	if len(w.queue) > 0 {
-		it := w.queue[0]
-		w.queue = w.queue[1:]
+	for i, it := range c.queue {
+		if slices.Contains(it.tried, w.id) && c.untriedLocked(it) {
+			continue
+		}
+		c.queue = slices.Delete(c.queue, i, i+1)
+		it.tried = append(it.tried, w.id)
+		c.cond.Broadcast() // a slot waiting to exit may now see the queue empty
 		return it
 	}
-	var victim *worker
-	var steal = -1
-	for _, o := range c.workers {
-		if o == w || o.gone || len(o.queue) == 0 {
-			continue
-		}
-		if victim != nil && len(o.queue) <= len(victim.queue) {
-			continue
-		}
-		// Steal from the tail, skipping items that already failed on
-		// this worker — a requeue must not bounce straight back to the
-		// machine that broke it.
-		for i := len(o.queue) - 1; i >= 0; i-- {
-			if !o.queue[i].bannedFrom(w.id) {
-				victim, steal = o, i
-				break
-			}
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	it := victim.queue[steal]
-	victim.queue = append(victim.queue[:steal], victim.queue[steal+1:]...)
-	c.met.steals.Inc()
-	return it
+	return nil
 }
 
 // dispatch POSTs one spec to one worker and routes the outcome: a win
@@ -586,14 +505,14 @@ func (c *Coordinator) takeLocked(w *worker) *item {
 // hedge loser or a departed caller and dies quietly, a failure goes
 // back through requeue.
 func (c *Coordinator) dispatch(w *worker, it *item) {
-	actx, ok := it.begin(w.id)
+	actx, ok := it.begin()
 	if !ok {
 		return
 	}
 	start := time.Now()
 	body, retryable, err := c.post(actx, w, it)
 	if err == nil {
-		if it.deliver(result{body: body, worker: w.id, remote: true}) {
+		if it.deliver(result{body: body, remote: true}) {
 			c.met.dispatches.With("ok").Inc()
 			c.noteLatency(time.Since(start))
 			c.span("dispatch", it.key, w.id, start)
@@ -614,7 +533,7 @@ func (c *Coordinator) dispatch(w *worker, it *item) {
 		it.deliver(result{err: err})
 		return
 	}
-	c.requeue(it, w.id, "error")
+	c.requeue(it)
 }
 
 // post issues one execute request. retryable distinguishes transport
@@ -646,39 +565,25 @@ func (c *Coordinator) post(ctx context.Context, w *worker, it *item) (body []byt
 	return out, false, nil
 }
 
-// requeue moves a failed item to another worker — or, with the fleet
-// gone, computes it locally so admitted work still completes. Too many
-// distinct failures surface as the item's error.
-func (c *Coordinator) requeue(it *item, fromID, reason string) {
-	it.mu.Lock()
+// requeue puts a failed item back on the queue — or, with the fleet
+// gone, computes it locally. Too many failures surface as the item's
+// error.
+func (c *Coordinator) requeue(it *item) {
+	c.met.requeues.With("error").Inc()
+	c.mu.Lock()
 	it.fails++
 	fails := it.fails
-	finished := it.finished
-	it.mu.Unlock()
-	if finished {
-		return
-	}
-	c.met.requeues.With(reason).Inc()
-	if fails >= c.maxAttempts {
-		it.deliver(result{err: fmt.Errorf("fabric: spec %s failed on %d workers", it.key, fails)})
-		return
-	}
-	banned := it.ban(fromID)
-	c.mu.Lock()
-	w := c.leastLoadedLocked(banned...)
-	if w == nil {
-		w = c.leastLoadedLocked()
-	}
-	if w != nil {
-		w.queue = append(w.queue, it)
-		c.cond.Broadcast()
+	if fails < maxAttempts && len(c.workers) > 0 {
+		c.pushLocked(it)
 		c.mu.Unlock()
 		return
 	}
 	c.mu.Unlock()
-	c.met.localRuns.Inc()
-	body, err := c.localRun(it.ctx, it.req)
-	it.deliver(result{body: body, err: err})
+	if fails >= maxAttempts {
+		it.deliver(result{err: fmt.Errorf("fabric: spec %s failed %d dispatches", it.key, fails)})
+		return
+	}
+	c.runLocal(it)
 }
 
 // janitor periodically reaps workers that stopped heartbeating.
@@ -695,41 +600,26 @@ func (c *Coordinator) janitor() {
 	}
 }
 
-// reap declares workers dead after deadBeats missed heartbeats: their
-// queued specs move to survivors (or compute locally with the fleet
-// gone); their in-flight dispatches fail over through the ordinary
-// error path when the connection drops.
+// reap drops workers after deadBeats missed heartbeats; their in-flight
+// dispatches fail over through the ordinary error path when the
+// connection drops. With no workers left the queue is computed locally.
 func (c *Coordinator) reap(now time.Time) {
 	c.mu.Lock()
-	var orphans []*item
 	for id, w := range c.workers {
-		if now.Sub(w.lastBeat) <= c.dead {
-			continue
+		if now.Sub(w.lastBeat) > c.dead {
+			w.gone = true
+			delete(c.workers, id)
+			c.log.Warn("fabric: worker presumed dead", "worker", id)
+			c.cond.Broadcast()
 		}
-		w.gone = true
-		orphans = append(orphans, w.queue...)
-		w.queue = nil
-		delete(c.workers, id)
-		c.log.Warn("fabric: worker presumed dead", "worker", id, "requeued", len(orphans))
 	}
 	var local []*item
-	for _, it := range orphans {
-		c.met.requeues.With("dead").Inc()
-		if w := c.leastLoadedLocked(); w != nil {
-			w.queue = append(w.queue, it)
-		} else {
-			local = append(local, it)
-		}
+	if len(c.workers) == 0 {
+		local, c.queue = c.queue, nil
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	for _, it := range local {
-		it := it
-		go func() {
-			c.met.localRuns.Inc()
-			body, err := c.localRun(it.ctx, it.req)
-			it.deliver(result{body: body, err: err})
-		}()
+		go c.runLocal(it)
 	}
 }
 
@@ -762,7 +652,7 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	s := append([]float64(nil), c.lats[:n]...)
 	c.latMu.Unlock()
 	sort.Float64s(s)
-	p95 := s[(n*95)/100-1]
+	p95 := s[(n*95+99)/100-1] // nearest rank
 	d := time.Duration(2 * p95 * float64(time.Second))
 	if d < 100*time.Millisecond {
 		d = 100 * time.Millisecond
@@ -795,7 +685,7 @@ func (c *Coordinator) instant(name, key, note string) {
 	})
 }
 
-// Close stops admitting work, lets the pumps drain every queued
+// Close stops admitting work, lets the slots drain every queued
 // dispatch, and waits for in-flight Execute calls to return — the
 // graceful-shutdown drain. Callers shutting down a whole server close
 // the job manager first (cancelling job contexts), which turns the

@@ -309,10 +309,10 @@ func TestHedgedRaceSingleStoreWrite(t *testing.T) {
 }
 
 // TestSaturated pins the fleet-wide backpressure signal: a fleet is
-// saturated when queued+in-flight reaches QueueFactor × slots, and a
+// saturated when queued+in-flight reaches four times its slots, and a
 // worker-less coordinator never is (its backpressure is the queue).
 func TestSaturated(t *testing.T) {
-	c := fabric.NewCoordinator(fabric.Options{QueueFactor: 1, HedgeAfter: time.Hour})
+	c := fabric.NewCoordinator(fabric.Options{HedgeAfter: time.Hour})
 	defer c.Close()
 	if c.Saturated() {
 		t.Fatal("empty fleet reports saturated")
@@ -329,7 +329,9 @@ func TestSaturated(t *testing.T) {
 
 	req := small.Normalize()
 	key, _ := req.Key()
-	go c.Execute(context.Background(), key, req)
+	for i := 0; i < 4; i++ {
+		go c.Execute(context.Background(), key, req)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for !c.Saturated() {
 		if time.Now().After(deadline) {

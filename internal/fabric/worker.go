@@ -197,7 +197,6 @@ func (w *Worker) beat() {
 		ID:      w.o.ID,
 		URL:     w.o.Advertise,
 		Slots:   w.o.Slots,
-		Busy:    int(w.busy.Load()),
 		SimMIPS: w.noteMIPS(),
 	}
 	b, err := json.Marshal(hello)

@@ -28,13 +28,12 @@ type FabricExecute struct {
 // registration, re-sent on every heartbeat. ID names the worker across
 // re-registrations; URL is the base address the coordinator dispatches
 // to; Slots is how many executes the worker accepts concurrently.
-// Busy and SimMIPS are the worker's self-reported load, surfaced as
-// per-worker gauges on the coordinator's /metrics.
+// SimMIPS is the worker's self-reported throughput, surfaced as the
+// per-worker mcd_fabric_worker_sim_mips gauge on the coordinator.
 type FabricHello struct {
 	ID      string  `json:"id"`
 	URL     string  `json:"url"`
 	Slots   int     `json:"slots"`
-	Busy    int     `json:"busy,omitempty"`
 	SimMIPS float64 `json:"sim_mips,omitempty"`
 }
 
