@@ -138,17 +138,17 @@ func BenchmarkHeadline(b *testing.B) {
 }
 
 func BenchmarkFig2LoadStoreTrace(b *testing.B) {
-	to := bench.TraceOptions{Options: bench.QuickOptions()}
+	to := bench.QuickOptions()
 	to.Window = 150_000
 	to.Warmup = 20_000
 	before := sim.SimulatedInstructions()
 	var csv string
 	for i := 0; i < b.N; i++ {
-		res, err := to.Trace()
+		res, err := to.TraceMany([]string{"epic.decode"})
 		if err != nil {
 			b.Fatal(err)
 		}
-		csv = bench.FigureCSV(res, clock.LoadStore)
+		csv = bench.FigureCSV(res[0], clock.LoadStore)
 	}
 	if len(csv) == 0 {
 		b.Fatal("empty trace")
@@ -157,17 +157,17 @@ func BenchmarkFig2LoadStoreTrace(b *testing.B) {
 }
 
 func BenchmarkFig3FloatingPointTrace(b *testing.B) {
-	to := bench.TraceOptions{Options: bench.QuickOptions()}
+	to := bench.QuickOptions()
 	to.Window = 150_000
 	to.Warmup = 20_000
 	before := sim.SimulatedInstructions()
 	var res struct{ avgFP float64 }
 	for i := 0; i < b.N; i++ {
-		r, err := to.Trace()
+		r, err := to.TraceMany([]string{"epic.decode"})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res.avgFP = r.AvgFreqMHz[clock.FloatingPoint]
+		res.avgFP = r[0].AvgFreqMHz[clock.FloatingPoint]
 	}
 	b.ReportMetric(res.avgFP, "FP-avg-MHz")
 	reportSimMIPS(b, before)

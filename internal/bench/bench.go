@@ -255,7 +255,7 @@ const (
 // schedules (each a compound BuildOffline + replay). Every cell
 // resolves through the controller registry, so its content address (and
 // its Result's Config label) is the registry's. The off-line searches
-// share store, so both profile one all-max baseline and a candidate
+// share store, so both profile one all-max baseline and a refined
 // schedule they both reach simulates once.
 func (o Options) phase1Tasks(b workload.Benchmark, store *resultcache.Cache) []runner.Task[stats.Result] {
 	run := o.controlRun(b)
@@ -288,12 +288,6 @@ func (o Options) globalTasks(c *Comparison, store *resultcache.Cache) []runner.T
 		mk("global-d1", c.Dyn1.TimePS/c.MCDBase.TimePS-1),
 		mk("global-d5", c.Dyn5.TimePS/c.MCDBase.TimePS-1),
 	}
-}
-
-// RunComparison executes the Table 6 / Figure 4 configuration matrix for
-// one benchmark.
-func (o Options) RunComparison(b workload.Benchmark) Comparison {
-	return o.runAllOn([]workload.Benchmark{b})[0]
 }
 
 // RunAll runs the comparison matrix over the selected benchmarks.

@@ -8,7 +8,6 @@ import (
 	"mcd/internal/clock"
 	"mcd/internal/resultcache"
 	"mcd/internal/stats"
-	"mcd/internal/workload"
 )
 
 // tiny returns options small enough for unit tests.
@@ -104,8 +103,8 @@ func TestStaticTablesRender(t *testing.T) {
 
 func TestRunComparisonProducesAllConfigs(t *testing.T) {
 	o := tiny()
-	b, _ := workload.Lookup("adpcm")
-	c := o.RunComparison(b)
+	o.Benchmarks = []string{"adpcm"}
+	c := o.RunAll()[0]
 	for name, r := range map[string]uint64{
 		"sync": c.Sync.Instructions, "mcd": c.MCDBase.Instructions,
 		"ad": c.AD.Instructions, "dyn1": c.Dyn1.Instructions,
@@ -158,9 +157,16 @@ func TestHeadlineSigns(t *testing.T) {
 }
 
 func TestTraceEmitsFigureSeries(t *testing.T) {
-	to := TraceOptions{Options: tiny()}
+	to := tiny()
 	to.Window = 100_000
-	res, err := to.Trace()
+	trace := func(name string) (stats.Result, error) {
+		res, err := to.TraceMany([]string{name})
+		if err != nil {
+			return stats.Result{}, err
+		}
+		return res[0], nil
+	}
+	res, err := trace("epic.decode")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +181,10 @@ func TestTraceEmitsFigureSeries(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "instructions,") {
 		t.Errorf("CSV header wrong: %s", lines[0])
 	}
-	if _, err := to.Trace(); err != nil {
+	if _, err := trace("epic.decode"); err != nil {
 		t.Fatal(err)
 	}
-	bad := TraceOptions{Options: tiny(), Benchmark: "nonesuch"}
-	if _, err := bad.Trace(); err == nil {
+	if _, err := trace("nonesuch"); err == nil {
 		t.Error("unknown benchmark must error")
 	}
 }

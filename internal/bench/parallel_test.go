@@ -40,10 +40,11 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("grid ran %d benchmarks, want 6", len(serial))
 	}
 
-	// The per-benchmark entry point must agree with the batched one.
-	one := serialOpts.RunComparison(serial[2].Bench)
-	if !reflect.DeepEqual(one, serial[2]) {
-		t.Errorf("RunComparison(%s) diverged from RunAll row", serial[2].Bench.Name)
+	// A one-benchmark grid must agree with the same row of the batch.
+	oneOpts := serialOpts
+	oneOpts.Benchmarks = []string{serial[2].Bench.Name}
+	if one := oneOpts.RunAll(); len(one) != 1 || !reflect.DeepEqual(one[0], serial[2]) {
+		t.Errorf("one-row grid of %s diverged from RunAll row", serial[2].Bench.Name)
 	}
 
 	for _, workers := range []int{4, 8} {

@@ -102,26 +102,6 @@ func Table5() string {
 	return s
 }
 
-// TraceOptions configures the Figure 2/3 interval traces.
-type TraceOptions struct {
-	Options
-	Benchmark string // default "epic.decode"
-}
-
-// Trace runs Attack/Decay over the named benchmark recording every
-// interval (Figures 2 and 3 use epic decode).
-func (o TraceOptions) Trace() (stats.Result, error) {
-	name := o.Benchmark
-	if name == "" {
-		name = "epic.decode"
-	}
-	res, err := o.Options.TraceMany([]string{name})
-	if err != nil {
-		return stats.Result{}, err
-	}
-	return res[0], nil
-}
-
 // traceSpec is the one construction point of a Figure 2/3 trace run:
 // the registered attack-decay controller at its schema defaults,
 // exact-tier, recording every interval.

@@ -61,7 +61,7 @@ func init() {
 			{Name: "iters", Default: 6, Min: 1, Max: 10,
 				Doc: "schedule-search refinement iterations"},
 			{Name: "adapt", Default: 0, Min: 0, Max: 1,
-				Doc: "1: bisect the down-step toward the cap when every candidate overshoots (for compressed quick scales); 0: classic fixed-step search"},
+				Doc: "1: bisect the down-step toward the cap when a pass's schedule overshoots (for compressed quick scales); 0: classic fixed-step search"},
 		},
 		Build: func(r Run, p Params) (sim.Spec, error) {
 			ctrl, _ := core.BuildOffline(r.Config, r.Profile, r.Window, offlineOpts(r, p), r.Simulate)

@@ -107,10 +107,9 @@ type Run struct {
 	SampleEvery int
 	// Store, if non-nil, is shared by every run that goes through
 	// Simulate: the sub-runs of compound preparations (the off-line
-	// search's baseline and candidates, global matching's probes). A
-	// spec it already holds is not simulated again. Like
-	// OfflineOptions.Workers it is never key material: it never changes
-	// a result.
+	// search's baseline and refined schedules, global matching's
+	// probes). A spec it already holds is not simulated again. It is
+	// never key material: it never changes a result.
 	Store *resultcache.Cache
 }
 

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"fmt"
-	"math"
 
 	"mcd/internal/clock"
 	"mcd/internal/pipeline"
 	"mcd/internal/resultcache"
-	"mcd/internal/runner"
 	"mcd/internal/sim"
 	"mcd/internal/stats"
 	"mcd/internal/workload"
@@ -94,18 +91,14 @@ type OfflineOptions struct {
 	TargetDeg float64
 	// Iterations bounds the refinement passes (default 6).
 	Iterations int
-	// StepDown/StepUp are the multiplicative frequency adjustments
-	// (defaults 0.90 and 1.15).
-	StepDown, StepUp float64
 	// AdaptiveStep softens the down-step instead of committing an
-	// overshooting schedule: whenever every candidate of an iteration
-	// lands beyond the dilation cap, the step is bisected toward 1
-	// ((1+step)/2) and the iteration retried from the last good
-	// schedule. At compressed quick scales a window holds so few
-	// intervals that one fixed 10% down-step can jump straight past a
-	// tight cap; bisection finds the step size the scale actually
-	// affords. Off by default: the classic fixed-step search (and its
-	// content addresses) stays byte-identical.
+	// overshooting schedule: whenever a pass's schedule lands beyond the
+	// dilation cap, the step is bisected toward 1 ((1+step)/2) and the
+	// pass retried from the last good schedule. At compressed quick
+	// scales a window holds so few intervals that one fixed 10%
+	// down-step can jump straight past a tight cap; bisection finds the
+	// step size the scale actually affords. Off by default: the classic
+	// fixed-step search (and its content addresses) stays byte-identical.
 	AdaptiveStep bool
 	// Warmup instructions run before each profiled window.
 	Warmup uint64
@@ -114,40 +107,26 @@ type OfflineOptions struct {
 	// schedule indices to line up. Zero uses the pipeline default.
 	IntervalLength uint64
 	// Fidelity and SampleEvery select the simulation tier for the
-	// profiling and candidate-evaluation runs (sim.FidelityExact /
+	// profiling and refinement runs (sim.FidelityExact /
 	// sim.FidelitySampled), so a sampled request pays sampled prices for
 	// the schedule search too. They are part of the run spec, not the
 	// search parameters, so CacheExtra never encodes them — the outer
 	// spec key line does.
 	Fidelity    string
 	SampleEvery int
-	// Candidates is how many step-aggressiveness variants of the
-	// refinement rule each iteration evaluates (concurrently, through the
-	// runner pool) before committing to the best one. 1 — the default —
-	// reproduces the classic single-schedule refinement; higher values
-	// widen the search at no wall-clock cost on a multicore host. The
-	// candidate set is fixed by this value alone, so results never depend
-	// on Workers.
-	Candidates int
-	// Workers bounds the concurrent candidate evaluations; zero or
-	// negative means GOMAXPROCS.
-	Workers int
 }
+
+// The multiplicative frequency adjustments of one refinement pass.
+const (
+	stepDown = 0.90
+	stepUp   = 1.15
+)
 
 // withDefaults resolves the zero-valued search parameters to the
 // defaults BuildOffline applies — the one place those defaults live.
 func (o OfflineOptions) withDefaults() OfflineOptions {
 	if o.Iterations == 0 {
 		o.Iterations = 6
-	}
-	if o.StepDown == 0 {
-		o.StepDown = 0.90
-	}
-	if o.StepUp == 0 {
-		o.StepUp = 1.15
-	}
-	if o.Candidates < 1 {
-		o.Candidates = 1
 	}
 	return o
 }
@@ -157,14 +136,14 @@ func (o OfflineOptions) withDefaults() OfflineOptions {
 // already carries config, profile, window, warmup and interval) — the
 // extra material for resultcache.SpecKeyExtra. Keeping it next to
 // withDefaults means a changed default changes every derived content
-// address, so stale store entries can never be served. Workers is
-// excluded: it never affects results (see DESIGN.md, "Runner
-// determinism").
+// address, so stale store entries can never be served. The step
+// factors and the one schedule per pass ("cands=1") are fixed, but
+// stay in the string so every existing address is unchanged.
 func (o OfflineOptions) CacheExtra() string {
 	r := o.withDefaults()
 	h := resultcache.Float
-	extra := fmt.Sprintf("offline|target=%s|iters=%d|down=%s|up=%s|cands=%d",
-		h(r.TargetDeg), r.Iterations, h(r.StepDown), h(r.StepUp), r.Candidates)
+	extra := fmt.Sprintf("offline|target=%s|iters=%d|down=%s|up=%s|cands=1",
+		h(r.TargetDeg), r.Iterations, h(stepDown), h(stepUp))
 	// The adaptive marker is appended only when the knob is on, so every
 	// legacy address (computed before the knob existed) is unchanged.
 	if r.AdaptiveStep {
@@ -173,26 +152,10 @@ func (o OfflineOptions) CacheExtra() string {
 	return extra
 }
 
-// stepExponent spreads candidate k's refinement aggressiveness around the
-// configured step factors: candidate 0 applies them as-is, odd candidates
-// soften them (exponent 1/2, 1/3, …) and even candidates sharpen them
-// (exponent 2, 3, …). The sequence depends only on k, never on the worker
-// count, so the search is deterministic.
-func stepExponent(k int) float64 {
-	switch {
-	case k == 0:
-		return 1
-	case k%2 == 1:
-		return 1 / (1 + float64(k+1)/2)
-	default:
-		return 1 + float64(k)/2
-	}
-}
-
 // refine returns a copy of sched with one pass of the slack rule applied:
 // speed up intervals whose queues backed up versus the full-speed
 // profile, slow down everything else while the dilation budget has slack.
-func refine(sched Schedule, cur, base stats.Result, deg float64, cfg pipeline.Config, opts OfflineOptions, down, up float64) Schedule {
+func refine(sched Schedule, cur, base stats.Result, deg, target float64, cfg pipeline.Config, down float64) Schedule {
 	controlled := []clock.Domain{clock.Integer, clock.FloatingPoint, clock.LoadStore}
 	out := make(Schedule, len(sched))
 	copy(out, sched)
@@ -205,8 +168,8 @@ func refine(sched Schedule, cur, base stats.Result, deg float64, cfg pipeline.Co
 			backedUp := occ > ref*1.6+1.0
 			switch {
 			case backedUp:
-				out[i][d] *= up
-			case deg < opts.TargetDeg*0.9:
+				out[i][d] *= stepUp
+			case deg < target*0.9:
 				out[i][d] *= down
 			}
 			if out[i][d] > cfg.MaxFreqMHz {
@@ -226,17 +189,15 @@ func refine(sched Schedule, cur, base stats.Result, deg float64, cfg pipeline.Co
 // target. It returns the controller and the baseline (all-max MCD) result
 // used as its reference.
 //
-// Every simulation goes through run (nil means sim.Run), so a caller can
-// share runs between searches: two targets over one workload profile the
-// same all-max baseline, and candidate schedules can repeat. run must
-// return sim.Run's result for the spec.
+// Every simulation goes through run (nil means sim.Run), on the caller's
+// goroutine, so a caller can share runs between searches: two targets
+// over one workload profile the same all-max baseline, and refined
+// schedules can repeat. run must return sim.Run's result for the spec.
 //
-// Each refinement iteration proposes opts.Candidates variant schedules
-// (step factors spread by stepExponent) and evaluates them concurrently
-// through the runner pool, committing to the best: the lowest-energy
-// candidate within the dilation cap, or failing that the one closest to
-// it. With the default single candidate this degenerates to the classic
-// serial refinement and produces bit-identical schedules to it.
+// Each refinement pass builds one schedule from the last committed one
+// and simulates it. A schedule beyond the dilation cap is committed
+// anyway, unless opts.AdaptiveStep bisects the down-step and retries
+// the pass from the last committed schedule.
 //
 // This reproduces the *global knowledge* property of the paper's off-line
 // shaker — it sees every interval of the whole run before choosing any
@@ -267,65 +228,28 @@ func BuildOffline(cfg pipeline.Config, prof workload.Profile, window uint64, opt
 	}
 
 	cur := base
-	down := opts.StepDown
+	down := stepDown
 	for it := 0; it < opts.Iterations; it++ {
-		deg := cur.TimePS/base.TimePS - 1
-
-		cands := make([]Schedule, opts.Candidates)
-		tasks := make([]runner.Task[stats.Result], opts.Candidates)
-		for k := range cands {
-			e := stepExponent(k)
-			cands[k] = refine(sched, cur, base, deg, cfg, opts,
-				math.Pow(down, e), math.Pow(opts.StepUp, e))
-			ctrl := NewOfflineController(name, cands[k])
-			spec := sim.Spec{
-				Config: cfg, Profile: prof, Window: window, Warmup: opts.Warmup,
-				IntervalLength: opts.IntervalLength,
-				Controller:     ctrl, InitialFreqMHz: ctrl.Initial(),
-				RecordIntervals: true, Name: name,
-				Fidelity: opts.Fidelity, SampleEvery: opts.SampleEvery,
-			}
-			tasks[k] = runner.Task[stats.Result]{Name: fmt.Sprintf("%s/cand%d", name, k),
-				Run: func(context.Context) (stats.Result, error) { return run(spec), nil }}
+		next := refine(sched, cur, base, cur.TimePS/base.TimePS-1, opts.TargetDeg, cfg, down)
+		ctrl := NewOfflineController(name, next)
+		res := run(sim.Spec{
+			Config: cfg, Profile: prof, Window: window, Warmup: opts.Warmup,
+			IntervalLength: opts.IntervalLength,
+			Controller:     ctrl, InitialFreqMHz: ctrl.Initial(),
+			RecordIntervals: true, Name: name,
+			Fidelity: opts.Fidelity, SampleEvery: opts.SampleEvery,
+		})
+		deg := res.TimePS/base.TimePS - 1
+		if deg > opts.TargetDeg*1.1 && opts.AdaptiveStep {
+			// Bisect the down-step toward a no-op and retry from the
+			// last schedule that respected the cap, instead of
+			// committing an overshooting one. The retry spends an
+			// iteration, so the search still terminates.
+			down = (1 + down) / 2
+			continue
 		}
-		outs, _ := runner.Map(context.Background(), tasks, runner.Options{Workers: opts.Workers})
-
-		// Commit to the best candidate: lowest energy within the cap,
-		// else closest to it; ties break toward the lowest index, so the
-		// choice is a pure function of the candidate set.
-		best := -1
-		for k, o := range outs {
-			if o.Err != nil {
-				runner.Repanic(o.Err)
-			}
-			dk := o.Value.TimePS/base.TimePS - 1
-			if dk > opts.TargetDeg*1.1 {
-				continue
-			}
-			if best < 0 || o.Value.EnergyPJ < outs[best].Value.EnergyPJ {
-				best = k
-			}
-		}
-		if best < 0 { // every candidate overshot
-			if opts.AdaptiveStep {
-				// Bisect the down-step toward a no-op and retry from the
-				// last schedule that respected the cap, instead of
-				// committing an overshooting one. The retry spends an
-				// iteration, so the search still terminates.
-				down = (1 + down) / 2
-				continue
-			}
-			// Fixed-step legacy behavior: take the least dilated.
-			bestDeg := math.Inf(1)
-			for k, o := range outs {
-				if dk := o.Value.TimePS/base.TimePS - 1; dk < bestDeg {
-					best, bestDeg = k, dk
-				}
-			}
-		}
-		sched = cands[best]
-		cur = outs[best].Value
-		if deg2 := cur.TimePS/base.TimePS - 1; deg2 > opts.TargetDeg*0.9 && deg2 <= opts.TargetDeg*1.1 {
+		sched, cur = next, res
+		if deg > opts.TargetDeg*0.9 && deg <= opts.TargetDeg*1.1 {
 			break
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"mcd/internal/clock"
@@ -78,42 +77,6 @@ func TestAttackDecayNameIncludesParams(t *testing.T) {
 	}
 }
 
-// TestBuildOfflineCandidatesDeterministic: the candidate set is a pure
-// function of OfflineOptions, so widening the worker pool must not change
-// the schedule the search commits to — and the multi-candidate search
-// must never do worse against the dilation cap than the classic single
-// candidate path.
-func TestBuildOfflineCandidatesDeterministic(t *testing.T) {
-	b, ok := workload.Lookup("adpcm")
-	if !ok {
-		t.Fatal("adpcm missing from catalog")
-	}
-	build := func(candidates, workers int) ([clock.NumControllable]float64, float64) {
-		ctrl, base := BuildOffline(pipeline.DefaultConfig(), b.Profile, 20_000, OfflineOptions{
-			TargetDeg: 0.05, Iterations: 2, Warmup: 10_000, IntervalLength: 500,
-			Candidates: candidates, Workers: workers,
-		}, nil)
-		return ctrl.Initial(), base.TimePS
-	}
-
-	init1, base1 := build(3, 1)
-	for _, workers := range []int{4, 8} {
-		initN, baseN := build(3, workers)
-		if !reflect.DeepEqual(initN, init1) || baseN != base1 {
-			t.Errorf("workers=%d: candidate search diverged: %v vs %v", workers, initN, init1)
-		}
-	}
-
-	// The default path (Candidates unset → 1) still works and yields a
-	// valid schedule start.
-	initDefault, _ := build(0, 0)
-	for d, f := range initDefault {
-		if f < 250 || f > 1000 {
-			t.Errorf("default search initial[%d] = %v out of the frequency scale", d, f)
-		}
-	}
-}
-
 // TestAdaptiveStepMeetsCapAtQuickScale pins the cap-overshoot fix: at a
 // compressed quick scale the window holds so few intervals that one
 // fixed 10% down-step jumps straight past a tight dilation cap — the
@@ -170,23 +133,6 @@ func TestAdaptiveCacheExtraPreservesLegacyAddresses(t *testing.T) {
 	adaptive := OfflineOptions{TargetDeg: 0.05, AdaptiveStep: true}.CacheExtra()
 	if adaptive != legacy+"|adapt=1" {
 		t.Errorf("adaptive CacheExtra = %q, want legacy + |adapt=1", adaptive)
-	}
-}
-
-func TestStepExponentSpread(t *testing.T) {
-	if stepExponent(0) != 1 {
-		t.Fatalf("candidate 0 must reproduce the configured steps, got exponent %v", stepExponent(0))
-	}
-	seen := map[float64]bool{}
-	for k := 0; k < 6; k++ {
-		e := stepExponent(k)
-		if e <= 0 {
-			t.Errorf("exponent %d = %v, want positive", k, e)
-		}
-		if seen[e] {
-			t.Errorf("exponent %d = %v repeats an earlier candidate", k, e)
-		}
-		seen[e] = true
 	}
 }
 

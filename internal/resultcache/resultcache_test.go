@@ -137,16 +137,20 @@ func TestKeyCoversEveryField(t *testing.T) {
 		// OfflineOptions is key material through CacheExtra: a new
 		// result-affecting search field must be added there (and the
 		// version bumped) or stale dynamic-1%/5% entries get served.
-		// (9th field, AdaptiveStep: covered by a conditional "|adapt=1"
-		// suffix with no version bump — the zero value encodes exactly
-		// as before, so every legacy address is preserved, and the
-		// suffix cannot collide with a legacy extra, which always ends
-		// in "cands=N". TestAdaptiveCacheExtraPreservesLegacyAddresses
-		// pins both halves. 10th/11th fields, Fidelity and SampleEvery:
-		// deliberately NOT in CacheExtra — they are run-surface, not
-		// search-surface, and the outer spec's fidelity line already
-		// addresses them.)
-		"core.OfflineOptions": {reflect.TypeOf(core.OfflineOptions{}), 11},
+		// (TargetDeg and Iterations are encoded directly. AdaptiveStep
+		// is a conditional "|adapt=1" suffix with no version bump — the
+		// zero value encodes exactly as before, so every legacy address
+		// is preserved, and the suffix cannot collide with a legacy
+		// extra, which always ends in "cands=1".
+		// TestAdaptiveCacheExtraPreservesLegacyAddresses pins both
+		// halves. Warmup and IntervalLength ride on the profiling spec.
+		// Fidelity and SampleEvery are deliberately NOT in CacheExtra —
+		// they are run-surface, not search-surface, and the outer
+		// spec's fidelity line already addresses them. The step factors
+		// and the one schedule per pass are constants CacheExtra still
+		// writes as "down=…|up=…|cands=1", so no address moved when
+		// their option fields were deleted.)
+		"core.OfflineOptions": {reflect.TypeOf(core.OfflineOptions{}), 7},
 	}
 	for name, w := range want {
 		if n := w.typ.NumField(); n != w.n {

@@ -200,11 +200,9 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 // at the next interval boundary.
 func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, run wire.Resolved) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	if body, ok := probe(m, run); ok {
 		w.Header().Set("X-Cache", "hit")
-		enc.Encode(wire.ResultFrame(body, true))
+		json.NewEncoder(w).Encode(wire.ResultFrame(body, true))
 		return
 	}
 	j, err := m.SubmitStreamAs(clientID(r), run)
@@ -214,48 +212,20 @@ func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, run wir
 		return
 	}
 	w.Header().Set("X-Cache", "miss")
-	next := 0
-	for {
-		ch := j.Watch()
-		snap := j.Snapshot()
-		ivs, n, dropped := j.IntervalsSince(next)
-		next = n
-		if dropped > 0 {
-			// This consumer outran the bounded interval log; the gap is
-			// explicit in the stream, never silent, and the metric counts
-			// exactly the records each gap frame reports dropped.
-			m.met.gapFrames.Add(float64(dropped))
-			if enc.Encode(wire.GapFrame(dropped)) != nil {
-				m.Cancel(j.ID())
-				return
-			}
+	done := follow(m, w, r, j, func(snap Snapshot) any {
+		switch {
+		case snap.State == Done:
+			body, _ := j.Result()
+			return wire.ResultFrame(body, snap.CacheHit)
+		case snap.Terminal():
+			return wire.ErrorFrame(snap.Error)
 		}
-		for i := range ivs {
-			if enc.Encode(wire.IntervalFrame(&ivs[i])) != nil {
-				m.Cancel(j.ID())
-				return
-			}
-		}
-		if flusher != nil && len(ivs) > 0 {
-			flusher.Flush()
-		}
-		if snap.Terminal() {
-			if snap.State == Done {
-				body, _ := j.Result()
-				enc.Encode(wire.ResultFrame(body, snap.CacheHit))
-			} else {
-				enc.Encode(wire.ErrorFrame(snap.Error))
-			}
-			return
-		}
-		select {
-		case <-ch:
-		case <-r.Context().Done():
-			// A departed client must not keep simulating; cancellation
-			// closes the session between intervals.
-			m.Cancel(j.ID())
-			return
-		}
+		return nil
+	})
+	if !done {
+		// A departed client must not keep simulating; cancellation
+		// closes the session between intervals.
+		m.Cancel(j.ID())
 	}
 }
 
@@ -319,45 +289,65 @@ func handleEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	var last Snapshot
+	haveLast := false
+	follow(m, w, r, j, func(snap Snapshot) any {
+		// Stream jobs wake watchers once per interval; the snapshot line
+		// is only worth writing when it actually changed.
+		if haveLast && snap == last {
+			return nil
+		}
+		last, haveLast = snap, true
+		return snap
+	})
+}
+
+// follow writes job j's NDJSON feed until the job is terminal or the
+// client goes away: on every wake-up, the interval frames produced
+// since the last one (after an explicit gap frame when this consumer
+// outran the bounded interval log), then line(snap) unless it is nil,
+// then a flush. It reports whether the terminal snapshot's line was
+// reached; false means the client left first (a failed write or a
+// closed request context).
+func follow(m *Manager, w http.ResponseWriter, r *http.Request, j *Job, line func(Snapshot) any) bool {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	next := 0
-	var last Snapshot
-	haveLast := false
 	for {
 		ch := j.Watch()
 		snap := j.Snapshot()
 		ivs, n, dropped := j.IntervalsSince(next)
 		next = n
 		if dropped > 0 {
+			// The metric counts exactly the records each gap frame
+			// reports dropped.
 			m.met.gapFrames.Add(float64(dropped))
 			if enc.Encode(wire.GapFrame(dropped)) != nil {
-				return
+				return false
 			}
 		}
 		for i := range ivs {
 			if enc.Encode(wire.IntervalFrame(&ivs[i])) != nil {
-				return
+				return false
 			}
 		}
-		// Stream jobs wake watchers once per interval; the snapshot line
-		// is only worth a flush when it actually changed.
-		if !haveLast || snap != last {
-			if err := enc.Encode(snap); err != nil {
-				return
-			}
-			last, haveLast = snap, true
+		var err error
+		if v := line(snap); v != nil {
+			err = enc.Encode(v)
+		}
+		if snap.Terminal() {
+			return true
+		}
+		if err != nil {
+			return false
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if snap.Terminal() {
-			return
-		}
 		select {
 		case <-ch:
 		case <-r.Context().Done():
-			return
+			return false
 		}
 	}
 }

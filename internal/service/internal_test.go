@@ -226,11 +226,14 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 	}
 }
 
-// TestRetentionBoundsJobTable: finished jobs beyond RetainJobs are
-// dropped oldest-first; live jobs are never dropped.
+// TestRetentionBoundsJobTable: finished jobs beyond the retention bound
+// are dropped oldest-first; live jobs are never dropped.
 func TestRetentionBoundsJobTable(t *testing.T) {
-	m := New(Options{Runners: 1, QueueDepth: 8, RetainJobs: 3})
+	m := New(Options{Runners: 1, QueueDepth: 8})
 	defer m.Close()
+	m.mu.Lock()
+	m.retain = 3
+	m.mu.Unlock()
 
 	var last *Job
 	for i := 0; i < 6; i++ {

@@ -70,6 +70,12 @@ var ErrNotFound = errors.New("service: no such job")
 // fabric's contract.
 type DispatchFunc func(ctx context.Context, key string, req wire.RunRequest) ([]byte, bool, error)
 
+// retainJobs bounds the job table: beyond it the oldest *terminal* jobs
+// (and their result bodies) are dropped, so a long-lived server under a
+// flood of requests holds bounded memory. Queued and running jobs are
+// never dropped.
+const retainJobs = 512
+
 // maxBatchRuns bounds one batch job's size: a larger grid belongs in an
 // experiment (which streams cells through the pool) or several batches.
 const maxBatchRuns = 1024
@@ -84,11 +90,6 @@ type Options struct {
 	// Workers bounds the simulations running concurrently inside one
 	// job; zero or negative means GOMAXPROCS.
 	Workers int
-	// RetainJobs bounds the job table: beyond it the oldest *terminal*
-	// jobs (and their result bodies) are dropped, so a long-lived server
-	// under a flood of requests holds bounded memory. Queued and running
-	// jobs are never dropped. Default 512.
-	RetainJobs int
 	// Cache, if non-nil, backs every run with the content-addressed
 	// result store.
 	Cache *resultcache.Cache
@@ -151,6 +152,9 @@ type Manager struct {
 	pending []*Job
 	closed  bool
 	jobs    map[string]*Job
+	// retain is the job-table bound pruneLocked keeps: retainJobs,
+	// lowered only by tests.
+	retain int
 	// terminal lists finished jobs still in the table, completion order
 	// — the pruner's eviction queue, so pruning is O(evicted) instead
 	// of a full-table scan per submission.
@@ -177,15 +181,13 @@ func New(opts Options) *Manager {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.RetainJobs <= 0 {
-		opts.RetainJobs = 512
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		opts:   opts,
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   make(map[string]*Job),
+		retain: retainJobs,
 		jnl:    opts.Journal,
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -762,7 +764,7 @@ func (m *Manager) SubmitExperimentAs(client string, e wire.ExperimentRequest) (*
 // logs. A terminal stream job's log exists only for watchers still
 // draining its final frames; beyond the most recent few, the records
 // are dead weight (up to ~maxJobIntervals × the record size per job,
-// across up to RetainJobs jobs), so older logs are released and a late
+// across up to retainJobs jobs), so older logs are released and a late
 // watcher sees an explicit gap frame instead.
 const maxTerminalIntervalLogs = 8
 
@@ -820,10 +822,10 @@ func (m *Manager) liveSubmitsLocked() []journal.Submit {
 }
 
 // pruneLocked drops the oldest-finished jobs (and their result bodies)
-// once the table exceeds RetainJobs, bounding a long-lived server's
+// once the table exceeds m.retain, bounding a long-lived server's
 // memory. Queued and running jobs are never dropped. Callers hold m.mu.
 func (m *Manager) pruneLocked() {
-	for len(m.jobs) > m.opts.RetainJobs && len(m.terminal) > 0 {
+	for len(m.jobs) > m.retain && len(m.terminal) > 0 {
 		delete(m.jobs, m.terminal[0])
 		m.terminal = m.terminal[1:]
 	}

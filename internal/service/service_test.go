@@ -263,7 +263,7 @@ func TestExperimentJob(t *testing.T) {
 
 	opts := exp.Options()
 	opts.Workers = 1
-	direct, err := wire.RunExperiment(opts, "table6")
+	direct, err := wire.RunExperimentRequest(opts, wire.ExperimentRequest{Name: "table6"})
 	if err != nil {
 		t.Fatal(err)
 	}

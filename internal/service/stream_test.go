@@ -3,9 +3,11 @@ package service_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
+	"time"
 
 	"mcd/internal/service"
 	"mcd/internal/wire"
@@ -151,6 +153,59 @@ func TestStreamAsyncEvents(t *testing.T) {
 	}
 	if _, ok := m.Job(snap.ID); !ok {
 		t.Fatal("job vanished")
+	}
+}
+
+// TestStreamCancelsOnlyOnDeparture: a streamed run's job is cancelled
+// when its client leaves mid-stream, and never after the terminal frame
+// of a stream that ran to the end.
+func TestStreamCancelsOnlyOnDeparture(t *testing.T) {
+	m, srv := newServer(t, service.Options{})
+	const cancelled = "mcd_jobs_cancelled_total"
+
+	decodeFrames(t, readBody(t, postJSON(t, srv.URL+"/v1/runs", streamPayload(nil))))
+	if n := scrapeCounter(t, srv.URL, cancelled); n != 0 {
+		t.Fatalf("%s = %v after a completed stream, want 0", cancelled, n)
+	}
+
+	// A window far longer than the test waits: only the departure can
+	// end this job early.
+	body, err := json.Marshal(streamPayload(map[string]any{"window": 50_000_000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, leave := context.WithCancel(context.Background())
+	defer leave()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/runs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bufio.NewScanner(resp.Body).Scan() {
+		t.Fatal("stream ended before its first frame")
+	}
+	leave()
+	resp.Body.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		jobs := m.Jobs()
+		if len(jobs) > 0 && jobs[0].Terminal() {
+			if jobs[0].State != service.Failed {
+				t.Fatalf("departed stream's job ended %s, want failed", jobs[0].State)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("departed stream's job still running after 10s")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := scrapeCounter(t, srv.URL, cancelled); n != 1 {
+		t.Errorf("%s = %v after one departed stream, want 1", cancelled, n)
 	}
 }
 

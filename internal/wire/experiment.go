@@ -230,18 +230,11 @@ var sweepSpec = map[string]struct {
 	},
 }
 
-// RunExperiment executes a named experiment on the given harness
-// options. Grid experiments (table6/fig4/headline/all) run the Table 6
-// comparison matrix; sweep-* run the corresponding sensitivity sweep.
-// Experiments that carry request fields beyond the name
-// (sweep-controller) go through RunExperimentRequest.
-func RunExperiment(opts bench.Options, name string) (ExperimentResult, error) {
-	return RunExperimentRequest(opts, ExperimentRequest{Name: name})
-}
-
 // RunExperimentRequest executes an experiment request on the given
 // harness options — the one execution path shared by the CLIs and the
-// service, so both render byte-identical bodies.
+// service, so both render byte-identical bodies. Grid experiments
+// (table6/fig4/headline/all) run the Table 6 comparison matrix; sweep-*
+// run the corresponding sensitivity sweep.
 func RunExperimentRequest(opts bench.Options, e ExperimentRequest) (ExperimentResult, error) {
 	if err := e.Validate(); err != nil {
 		return ExperimentResult{}, err

@@ -11,7 +11,6 @@ import (
 	"mcd/internal/resultcache"
 	"mcd/internal/sim"
 	"mcd/internal/stats"
-	"mcd/internal/workload"
 )
 
 func streamReq() RunRequest {
@@ -151,11 +150,8 @@ func TestBenchGridSharesRegistryAddresses(t *testing.T) {
 	o := bench.QuickOptions()
 	o.Window, o.Warmup, o.IntervalLength = 20_000, 10_000, 500
 	o.Cache = c
-	b, ok := workload.Lookup("adpcm")
-	if !ok {
-		t.Fatal("adpcm missing from catalog")
-	}
-	cmp := o.RunComparison(b)
+	o.Benchmarks = []string{"adpcm"}
+	cmp := o.RunAll()[0]
 
 	slew := o.SlewNsPerMHz
 	base := RunRequest{
@@ -194,7 +190,7 @@ func TestBenchGridSharesRegistryAddresses(t *testing.T) {
 	cfg.SlewNsPerMHz = o.SlewNsPerMHz
 	run := control.Run{
 		Config:         cfg,
-		Profile:        b.Profile,
+		Profile:        cmp.Bench.Profile,
 		Window:         o.Window,
 		Warmup:         o.Warmup,
 		IntervalLength: o.IntervalLength,
