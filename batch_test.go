@@ -73,25 +73,27 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunBatchCompoundRequests runs the paper's compound comparators —
+// an off-line schedule search and a Global(·) match — as Do requests,
+// each resolved through the controller registry inside its closure.
 func TestRunBatchCompoundRequests(t *testing.T) {
 	b, _ := mcd.LookupBenchmark("adpcm")
-	cfg := mcd.DefaultConfig()
+	run := mcd.ControllerRun{
+		Config: mcd.DefaultConfig(), Profile: b.Profile,
+		Window: 8_000, Warmup: 4_000, IntervalLength: 500,
+	}
+	do := func(name string, p mcd.ControllerParams) func(context.Context) (mcd.Result, error) {
+		return func(context.Context) (mcd.Result, error) {
+			spec, err := mcd.ControllerSpec(name, p, run)
+			if err != nil {
+				return mcd.Result{}, err
+			}
+			return mcd.Run(spec), nil
+		}
+	}
 	reqs := []mcd.RunRequest{
-		{Name: "adpcm/offline", Do: func(context.Context) (mcd.Result, error) {
-			ctrl, _ := mcd.BuildOffline(cfg, b.Profile, 8_000, mcd.OfflineOptions{
-				TargetDeg: 0.05, Iterations: 2, Warmup: 4_000, IntervalLength: 500,
-			})
-			return mcd.Run(mcd.Spec{
-				Config: cfg, Profile: b.Profile, Window: 8_000, Warmup: 4_000,
-				IntervalLength: 500, Controller: ctrl,
-				InitialFreqMHz: ctrl.Initial(), Name: ctrl.Name(),
-			}), nil
-		}},
-		{Name: "adpcm/global", Do: func(context.Context) (mcd.Result, error) {
-			base := mcd.RunSynchronousAt(cfg, b.Profile, 8_000, 4_000, cfg.MaxFreqMHz, "sync")
-			_, r := mcd.GlobalMatch(cfg, b.Profile, 8_000, 4_000, base.TimePS, 0.05, "global")
-			return r, nil
-		}},
+		{Name: "adpcm/offline", Do: do("dynamic", mcd.ControllerParams{"target": 0.05, "iters": 2})},
+		{Name: "adpcm/global", Do: do("global", mcd.ControllerParams{"deg": 0.05})},
 	}
 	res, err := mcd.RunBatch(context.Background(), reqs, mcd.BatchOptions{Workers: 2})
 	if err != nil {

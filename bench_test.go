@@ -173,14 +173,20 @@ func BenchmarkFig3FloatingPointTrace(b *testing.B) {
 	reportSimMIPS(b, before)
 }
 
-func sweepBench(b *testing.B, run func(bench.Options) []bench.SweepPoint, metric string) {
+// sweepBench runs one paper figure (bench.PaperSweeps) over values, the
+// SweepController call a sweep-* experiment makes.
+func sweepBench(b *testing.B, fig string, values []float64, metric string) {
 	b.Helper()
 	o := bench.QuickOptions()
 	o.Benchmarks = []string{"adpcm", "gzip", "power", "mcf"}
+	row := bench.PaperSweeps[fig]
 	before := sim.SimulatedInstructions()
 	var pts []bench.SweepPoint
 	for i := 0; i < b.N; i++ {
-		pts = run(o)
+		var err error
+		if pts, err = o.SweepController("attack-decay", row.Param, values, row.Fixed); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if len(pts) == 0 {
 		b.Fatal("no sweep points")
@@ -196,25 +202,17 @@ func sweepBench(b *testing.B, run func(bench.Options) []bench.SweepPoint, metric
 }
 
 func BenchmarkFig5TargetSweep(b *testing.B) {
-	sweepBench(b, func(o bench.Options) []bench.SweepPoint {
-		return o.SweepTarget([]float64{0.02, 0.06, 0.10})
-	}, "best-EDP-%")
+	sweepBench(b, "target", []float64{0.02, 0.06, 0.10}, "best-EDP-%")
 }
 
 func BenchmarkFig6aDecaySweep(b *testing.B) {
-	sweepBench(b, func(o bench.Options) []bench.SweepPoint {
-		return o.SweepDecay([]float64{0.0005, 0.0075, 0.02})
-	}, "best-EDP-%")
+	sweepBench(b, "decay", []float64{0.0005, 0.0075, 0.02}, "best-EDP-%")
 }
 
 func BenchmarkFig6bReactionSweep(b *testing.B) {
-	sweepBench(b, func(o bench.Options) []bench.SweepPoint {
-		return o.SweepReaction([]float64{0.01, 0.06, 0.155})
-	}, "best-EDP-%")
+	sweepBench(b, "reaction", []float64{0.01, 0.06, 0.155}, "best-EDP-%")
 }
 
 func BenchmarkFig6cDeviationSweep(b *testing.B) {
-	sweepBench(b, func(o bench.Options) []bench.SweepPoint {
-		return o.SweepDeviation([]float64{0.005, 0.0175, 0.025})
-	}, "best-EDP-%")
+	sweepBench(b, "deviation", []float64{0.005, 0.0175, 0.025}, "best-EDP-%")
 }

@@ -25,12 +25,14 @@ import (
 	"strings"
 
 	"mcd"
+	"mcd/internal/bench"
 	"mcd/internal/prof"
 	"mcd/internal/resultcache"
 	"mcd/internal/wire"
 )
 
 func main() {
+	d := bench.DefaultOptions()
 	var (
 		benchName = flag.String("bench", "epic.decode", "benchmark name (see mcdbench -exp table5)")
 		// The valid set comes from the controller registry via wire, so
@@ -38,10 +40,10 @@ func main() {
 		config = flag.String("config", "attack-decay",
 			"controller: "+strings.Join(wire.Controllers(), " | "))
 		params   = flag.String("params", "", "controller parameter overrides, name=value[,name=value...]")
-		window   = flag.Uint64("window", 400_000, "measured instructions")
-		warmup   = flag.Uint64("warmup", 200_000, "warmup instructions")
-		interval = flag.Uint64("interval", 1000, "controller sampling interval (instructions)")
-		slew     = flag.Float64("slew", 4.91, "regulator slew in ns/MHz (paper scale: 49.1)")
+		window   = flag.Uint64("window", d.Window, "measured instructions")
+		warmup   = flag.Uint64("warmup", d.Warmup, "warmup instructions")
+		interval = flag.Uint64("interval", d.IntervalLength, "controller sampling interval (instructions)")
+		slew     = flag.Float64("slew", bench.SlewNsPerMHz, "regulator slew in ns/MHz (paper scale: 49.1)")
 		fidelity = flag.String("fidelity", "", "simulation tier: exact (default) | sampled (interval sampling with checkpointed warmup reuse)")
 		sampleN  = flag.Int("sample-every", 0, "sampled tier's detailed-interval cadence (0: default 10)")
 		jsonOut  = flag.Bool("json", false, "emit the canonical machine-readable result encoding")

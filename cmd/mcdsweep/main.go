@@ -76,7 +76,7 @@ func main() {
 		}
 		// Name the flag and its valid values, rather than letting the
 		// synthesized experiment name fail validation confusingly.
-		if !knownPaperParam(*param) {
+		if _, ok := bench.PaperSweeps[*param]; !ok {
 			fmt.Fprintf(os.Stderr,
 				"mcdsweep: unknown parameter %q (want target, decay, reaction or deviation; use -controller to sweep any registered controller's parameter)\n",
 				*param)
@@ -103,22 +103,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Print(res.Output)
-}
-
-// knownPaperParam reports whether "sweep-"+param names one of the
-// paper's fixed sweeps — derived from wire's experiment list, so the
-// sets cannot drift.
-func knownPaperParam(param string) bool {
-	name := "sweep-" + param
-	if name == wire.ExpSweepController {
-		return false
-	}
-	for _, e := range wire.Experiments() {
-		if e == name {
-			return true
-		}
-	}
-	return false
 }
 
 func parseValues(s string) ([]float64, error) {

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Tables 1–6, Figures 2–7) on the
 // synthetic-workload substrate, printing the same rows and series the
-// paper reports. See DESIGN.md for the per-experiment index and the
+// paper reports. See DESIGN.md for the entry-point map and the
 // fidelity notes on paper-vs-measured results.
 //
 // Every grid of independent runs is executed through internal/runner, so
@@ -24,16 +24,21 @@ import (
 	"mcd/internal/workload"
 )
 
+// SlewNsPerMHz is the regulator slew of every harness cell, and of a
+// wire request that leaves its slew unset: the XScale rate
+// (dvfs.DefaultSlewNsPerMHz) compressed 10× with the control interval
+// (DESIGN.md, "time-scale compression").
+const SlewNsPerMHz = 4.91
+
 // Options scales the experiments. The paper simulates 50–400 M
 // instructions per benchmark; these runs are scaled down (DESIGN.md,
-// "time-scale compression"): the control interval and regulator slew are
-// shrunk with the window so each run spans a paper-like number of control
-// intervals.
+// "time-scale compression"): the control interval is shrunk with the
+// window so each run spans a paper-like number of control intervals, and
+// the regulator slew is SlewNsPerMHz.
 type Options struct {
-	Window         uint64  // measured instructions per run
-	Warmup         uint64  // cache/predictor warmup instructions
-	IntervalLength uint64  // controller sampling period
-	SlewNsPerMHz   float64 // regulator slew (compressed with the interval)
+	Window         uint64 // measured instructions per run
+	Warmup         uint64 // cache/predictor warmup instructions
+	IntervalLength uint64 // controller sampling period
 	OfflineIters   int
 	// Fidelity selects the simulation tier for every grid cell ("" or
 	// sim.FidelityExact: the default cycle-exact engine,
@@ -84,7 +89,6 @@ func DefaultOptions() Options {
 		Window:         400_000,
 		Warmup:         200_000,
 		IntervalLength: 1_000,
-		SlewNsPerMHz:   4.91,
 		OfflineIters:   5,
 	}
 }
@@ -117,7 +121,7 @@ func (o Options) logf(format string, args ...any) {
 
 func (o Options) config() pipeline.Config {
 	cfg := pipeline.DefaultConfig()
-	cfg.SlewNsPerMHz = o.SlewNsPerMHz
+	cfg.SlewNsPerMHz = SlewNsPerMHz
 	return cfg
 }
 

@@ -191,7 +191,7 @@ func TestTraceEmitsFigureSeries(t *testing.T) {
 
 func TestSweepShapes(t *testing.T) {
 	o := tiny()
-	pts := o.SweepDecay([]float64{0.00175, 0.0125})
+	pts := runFigure(t, o, "decay", []float64{0.00175, 0.0125})
 	if len(pts) != 2 {
 		t.Fatalf("got %d sweep points", len(pts))
 	}

@@ -61,9 +61,9 @@ func TestSweepReusesCachedCells(t *testing.T) {
 	opts.Cache = cache
 	values := []float64{0.005, 0.0125}
 
-	cold := FormatSweep("t", "decay", opts.SweepDecay(values))
+	cold := FormatSweep("t", "decay", runFigure(t, opts, "decay", values))
 	missesAfterCold := cache.Stats().Misses
-	warm := FormatSweep("t", "decay", opts.SweepDecay(values))
+	warm := FormatSweep("t", "decay", runFigure(t, opts, "decay", values))
 	s := cache.Stats()
 
 	if cold != warm {
@@ -75,7 +75,7 @@ func TestSweepReusesCachedCells(t *testing.T) {
 	// A second sweep sharing cells with the first (overlapping value)
 	// only computes the new value's cells.
 	before := cache.Stats().Misses
-	FormatSweep("t", "decay", opts.SweepDecay([]float64{0.0125, 0.02}))
+	FormatSweep("t", "decay", runFigure(t, opts, "decay", []float64{0.0125, 0.02}))
 	added := cache.Stats().Misses - before
 	nBench := uint64(len(opts.catalog()))
 	if added != nBench {

@@ -63,7 +63,7 @@ func (o Options) cell(label, bench, ctrl, key string, p map[string]float64) Cell
 		Window:      o.Window,
 		Warmup:      o.Warmup,
 		Interval:    o.IntervalLength,
-		Slew:        o.SlewNsPerMHz,
+		Slew:        SlewNsPerMHz,
 		Fidelity:    o.Fidelity,
 		SampleEvery: o.SampleEvery,
 	}

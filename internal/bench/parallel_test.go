@@ -72,7 +72,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		o := grid()
 		o.Benchmarks = []string{"adpcm", "mcf"}
 		o.Workers = workers
-		return o.SweepDecay([]float64{0.00175, 0.0125})
+		return runFigure(t, o, "decay", []float64{0.00175, 0.0125})
 	}
 	serial := mk(1)
 	for _, workers := range []int{4, 8} {

@@ -46,7 +46,6 @@ const (
 	perfWindow   = 120_000
 	perfWarmup   = 60_000
 	perfInterval = 500
-	perfSlew     = 4.91
 )
 
 func perfSpec() sim.Spec {
@@ -55,7 +54,7 @@ func perfSpec() sim.Spec {
 		panic("bench: perf benchmark missing from catalog")
 	}
 	cfg := pipeline.DefaultConfig()
-	cfg.SlewNsPerMHz = perfSlew
+	cfg.SlewNsPerMHz = SlewNsPerMHz
 	return sim.Spec{
 		Config:         cfg,
 		Profile:        b.Profile,

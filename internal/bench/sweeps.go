@@ -32,66 +32,39 @@ func (o Options) baselines(cat []workload.Benchmark) []stats.Result {
 	return o.mapTasks(tasks)
 }
 
-// paperSweeps are the paper's sensitivity figures (Figures 5–7), one
-// row per swept attack-decay parameter: the published x-axis values and
-// the other three Table 2 parameters fixed at the figure's
-// configuration (the rest take the schema defaults).
-var paperSweeps = map[string]struct {
-	values []float64
-	fixed  control.Params
-}{
-	"perfdeg": {
+// PaperSweep is one of the paper's sensitivity figures (Figures 5–7):
+// the attack-decay schema parameter it sweeps, the published x-axis
+// values, the other Table 2 parameters fixed at the figure's
+// configuration (the rest take the schema defaults), and the title the
+// figure prints under. It runs as SweepController("attack-decay",
+// Param, Values, Fixed) and renders with FormatSweep.
+type PaperSweep struct {
+	Param  string
+	Values []float64
+	Fixed  control.Params
+	Title  string
+}
+
+// PaperSweeps are the paper's sensitivity figures keyed by figure name,
+// which is also the x-axis label FormatSweep prints and the suffix of
+// the "sweep-" experiment that runs the figure (internal/wire).
+var PaperSweeps = map[string]PaperSweep{
+	"target": {"perfdeg",
 		[]float64{0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12},
 		control.Params{"deviation": 0.010, "reaction": 0.060, "decay": 0.0125},
-	},
-	"decay": {
+		"Figure 5: performance degradation target (1.000_06.0_1.250_X.X)"},
+	"decay": {"decay",
 		[]float64{0.0005, 0.00175, 0.005, 0.0075, 0.0125, 0.0175, 0.02},
 		control.Params{"deviation": 0.015, "reaction": 0.040, "perfdeg": 0.030},
-	},
-	"reaction": {
+		"Figures 6a/7a: Decay sensitivity (1.500_04.0_X.XXX_3.0)"},
+	"reaction": {"reaction",
 		[]float64{0.005, 0.02, 0.04, 0.06, 0.09, 0.12, 0.155},
 		control.Params{"deviation": 0.015, "decay": 0.0075, "perfdeg": 0.030},
-	},
-	"deviation": {
+		"Figures 6b/7b: ReactionChange sensitivity (1.500_XX.X_0.750_3.0)"},
+	"deviation": {"deviation",
 		[]float64{0.0025, 0.005, 0.0075, 0.0125, 0.0175, 0.025},
 		control.Params{"reaction": 0.060, "decay": 0.00175, "perfdeg": 0.025},
-	},
-}
-
-// paperSweep runs one row of paperSweeps through SweepController over
-// the registered attack-decay controller; nil values take the row's
-// published set.
-func (o Options) paperSweep(param string, values []float64) []SweepPoint {
-	row := paperSweeps[param]
-	if len(values) == 0 {
-		values = row.values
-	}
-	pts, err := o.SweepController("attack-decay", param, values, row.fixed)
-	if err != nil {
-		panic(err) // the rows name attack-decay schema fields
-	}
-	return pts
-}
-
-// SweepTarget reproduces Figure 5: PerfDegThreshold swept as the
-// performance degradation target (paper values 0–12%), with the
-// parameters otherwise fixed at 1.000_06.0_1.250_X.X.
-func (o Options) SweepTarget(values []float64) []SweepPoint { return o.paperSweep("perfdeg", values) }
-
-// SweepDecay reproduces Figures 6(a)/7(a): Decay swept 0–2% with
-// parameters 1.500_04.0_X.XXX_3.0.
-func (o Options) SweepDecay(values []float64) []SweepPoint { return o.paperSweep("decay", values) }
-
-// SweepReaction reproduces Figures 6(b)/7(b): ReactionChange swept
-// 0.5–15.5% with parameters 1.500_XX.X_0.750_3.0.
-func (o Options) SweepReaction(values []float64) []SweepPoint {
-	return o.paperSweep("reaction", values)
-}
-
-// SweepDeviation reproduces Figures 6(c)/7(c): DeviationThreshold swept
-// 0–2.5% with parameters X.XXX_06.0_0.175_2.5.
-func (o Options) SweepDeviation(values []float64) []SweepPoint {
-	return o.paperSweep("deviation", values)
+		"Figures 6c/7c: DeviationThreshold sensitivity (X.XXX_06.0_0.175_2.5)"},
 }
 
 // SweepController runs a sensitivity sweep over one numeric parameter
@@ -100,10 +73,10 @@ func (o Options) SweepDeviation(values []float64) []SweepPoint {
 // defaults) and run across the catalog, summarized against the
 // per-benchmark baseline MCD runs — the registry-generic form of the
 // Figure 5–7 sweeps, available to pi, coord, dynamic and anything
-// registered later, and the one path the paper's own sweeps take. A
-// nil values slice samples the schema field's documented [Min, Max]
-// range at sweepSamples evenly spaced points. Grid cells are
-// cache-aware (see controlTask).
+// registered later, and the one path the paper's own sweeps
+// (PaperSweeps) take. A nil values slice samples the schema field's
+// documented [Min, Max] range at sweepSamples evenly spaced points.
+// Grid cells are cache-aware (see controlTask).
 func (o Options) SweepController(name, param string, values []float64, fixed map[string]float64) ([]SweepPoint, error) {
 	reg, ok := control.Lookup(name)
 	if !ok {

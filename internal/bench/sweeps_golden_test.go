@@ -19,16 +19,8 @@ func TestSweepsGoldenStable(t *testing.T) {
 	o.Benchmarks = []string{"adpcm", "mcf"}
 
 	var out bytes.Buffer
-	for _, s := range []struct {
-		xlabel string
-		run    func([]float64) []SweepPoint
-	}{
-		{"target", o.SweepTarget},
-		{"decay", o.SweepDecay},
-		{"reaction", o.SweepReaction},
-		{"deviation", o.SweepDeviation},
-	} {
-		out.WriteString(FormatSweep("sweep-"+s.xlabel, s.xlabel, s.run(nil)) + "\n")
+	for _, fig := range []string{"target", "decay", "reaction", "deviation"} {
+		out.WriteString(FormatSweep("sweep-"+fig, fig, runFigure(t, o, fig, nil)) + "\n")
 	}
 	pts, err := o.SweepController("pi", "kp", []float64{0.02, 0.05, 0.1}, map[string]float64{"setpoint": 3})
 	if err != nil {
@@ -55,4 +47,20 @@ func TestSweepsGoldenStable(t *testing.T) {
 		t.Errorf("sweeps/trace deviate from golden snapshot (refresh with -update if intended):\n--- golden\n%s\n--- got\n%s",
 			want, out.Bytes())
 	}
+}
+
+// runFigure runs one figure of PaperSweeps over values (nil: the
+// figure's published set), the call internal/wire makes for the
+// figure's sweep-* experiment.
+func runFigure(t testing.TB, o Options, fig string, values []float64) []SweepPoint {
+	t.Helper()
+	row := PaperSweeps[fig]
+	if values == nil {
+		values = row.Values
+	}
+	pts, err := o.SweepController("attack-decay", row.Param, values, row.Fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
 }

@@ -86,7 +86,7 @@ func (o Options) ValidateFidelity() FidelityReport {
 	t2 := time.Now()
 
 	rep := FidelityReport{
-		SampleEvery:    sampled.sampleEvery(),
+		SampleEvery:    sim.Spec{Fidelity: sampled.Fidelity, SampleEvery: sampled.SampleEvery}.EffectiveSampleEvery(),
 		ExactSeconds:   t1.Sub(t0).Seconds(),
 		SampledSeconds: t2.Sub(t1).Seconds(),
 		ExactTable6:    Table6(ecs),
@@ -132,14 +132,6 @@ func (o Options) ValidateFidelity() FidelityReport {
 		rep.MeanEPIErr /= n
 	}
 	return rep
-}
-
-// sampleEvery resolves the options' cadence the way a spec would.
-func (o Options) sampleEvery() int {
-	if o.SampleEvery <= 0 {
-		return sim.DefaultSampleEvery
-	}
-	return o.SampleEvery
 }
 
 // Check compares the report with the validation thresholds, returning

@@ -212,7 +212,7 @@ func TestOfflineBuilderMeetsTarget(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	const window = 200_000
 	const warm = 50_000
-	ctrl, base := BuildOffline(cfg, bench.Profile, window, OfflineOptions{TargetDeg: 0.05, Warmup: warm}, nil)
+	ctrl, base := BuildOffline(cfg, bench.Profile, window, OfflineOptions{TargetDeg: 0.05, Warmup: warm}, sim.Run)
 	res := sim.Run(sim.Spec{
 		Config: cfg, Profile: bench.Profile, Window: window, Warmup: warm,
 		Controller: ctrl, InitialFreqMHz: ctrl.Initial(), Name: ctrl.Name(),

@@ -189,10 +189,10 @@ func refine(sched Schedule, cur, base stats.Result, deg, target float64, cfg pip
 // target. It returns the controller and the baseline (all-max MCD) result
 // used as its reference.
 //
-// Every simulation goes through run (nil means sim.Run), on the caller's
-// goroutine, so a caller can share runs between searches: two targets
-// over one workload profile the same all-max baseline, and refined
-// schedules can repeat. run must return sim.Run's result for the spec.
+// Every simulation goes through run, on the caller's goroutine, so a
+// caller can share runs between searches: two targets over one workload
+// profile the same all-max baseline, and refined schedules can repeat.
+// run must return sim.Run's result for the spec.
 //
 // Each refinement pass builds one schedule from the last committed one
 // and simulates it. A schedule beyond the dilation cap is committed
@@ -205,9 +205,6 @@ func refine(sched Schedule, cur, base stats.Result, deg, target float64, cfg pip
 // tightly — without reimplementing the shaker's dependence-graph passes.
 func BuildOffline(cfg pipeline.Config, prof workload.Profile, window uint64, opts OfflineOptions, run func(sim.Spec) stats.Result) (*OfflineController, stats.Result) {
 	opts = opts.withDefaults()
-	if run == nil {
-		run = sim.Run
-	}
 	name := fmt.Sprintf("dynamic-%.0f%%", opts.TargetDeg*100)
 
 	base := run(sim.Spec{

@@ -100,7 +100,7 @@ func TestAdaptiveStepMeetsCapAtQuickScale(t *testing.T) {
 		ctrl, base := BuildOffline(cfg, b.Profile, window, OfflineOptions{
 			TargetDeg: target, Warmup: warmup, IntervalLength: il,
 			AdaptiveStep: adaptive,
-		}, nil)
+		}, sim.Run)
 		res := sim.Run(sim.Spec{
 			Config: cfg, Profile: b.Profile, Window: window, Warmup: warmup,
 			IntervalLength: il, Controller: ctrl, InitialFreqMHz: ctrl.Initial(),

@@ -94,24 +94,17 @@ func Run(s Spec) stats.Result {
 	return ses.Close()
 }
 
-// Synchronous returns the configuration of the conventional fully
-// synchronous processor (no MCD overheads, one clock).
-func Synchronous(cfg pipeline.Config) pipeline.Config {
-	cfg.SingleClock = true
-	return cfg
-}
-
-// SynchronousSpec returns the spec of the fully synchronous processor
-// with the global clock scaled to freqMHz — conventional global
-// voltage/frequency scaling.
+// SynchronousSpec returns the spec of the conventional fully synchronous
+// processor (one clock, no MCD overheads) with the global clock scaled
+// to freqMHz — conventional global voltage/frequency scaling.
 func SynchronousSpec(cfg pipeline.Config, prof workload.Profile, window, warmup uint64, freqMHz float64, name string) Spec {
-	sc := Synchronous(cfg)
+	cfg.SingleClock = true
 	var init [clock.NumControllable]float64
 	for d := range init {
 		init[d] = freqMHz
 	}
 	return Spec{
-		Config: sc, Profile: prof, Window: window, Warmup: warmup,
+		Config: cfg, Profile: prof, Window: window, Warmup: warmup,
 		InitialFreqMHz: init, Name: name,
 	}
 }

@@ -36,9 +36,9 @@ func TestRunHonorsSpec(t *testing.T) {
 }
 
 func TestSynchronousStripsMCDOverheads(t *testing.T) {
-	cfg := Synchronous(pipeline.DefaultConfig())
-	if !cfg.SingleClock {
-		t.Fatal("Synchronous must set SingleClock")
+	spec := SynchronousSpec(pipeline.DefaultConfig(), profile(), 1, 0, 1000, "sync")
+	if !spec.Config.SingleClock {
+		t.Fatal("SynchronousSpec must set SingleClock")
 	}
 }
 

@@ -13,16 +13,13 @@ import (
 	"mcd/internal/workload"
 )
 
-// Experiment names accepted by ExperimentRequest.Name.
+// Experiment names accepted by ExperimentRequest.Name, besides one
+// "sweep-"+figure per paper sensitivity figure (bench.PaperSweeps).
 const (
-	ExpTable6         = "table6"
-	ExpFig4           = "fig4"
-	ExpHeadline       = "headline"
-	ExpAll            = "all"
-	ExpSweepTarget    = "sweep-target"
-	ExpSweepDecay     = "sweep-decay"
-	ExpSweepReaction  = "sweep-reaction"
-	ExpSweepDeviation = "sweep-deviation"
+	ExpTable6   = "table6"
+	ExpFig4     = "fig4"
+	ExpHeadline = "headline"
+	ExpAll      = "all"
 	// ExpSweepController is the registry-generic sensitivity sweep: any
 	// registered controller, any numeric schema parameter (see
 	// ExperimentRequest.Controller/Param/Values).
@@ -31,9 +28,10 @@ const (
 
 // Experiments returns the valid experiment names, sorted.
 func Experiments() []string {
-	e := []string{ExpTable6, ExpFig4, ExpHeadline, ExpAll,
-		ExpSweepTarget, ExpSweepDecay, ExpSweepReaction, ExpSweepDeviation,
-		ExpSweepController}
+	e := []string{ExpTable6, ExpFig4, ExpHeadline, ExpAll, ExpSweepController}
+	for fig := range bench.PaperSweeps {
+		e = append(e, "sweep-"+fig)
+	}
 	sort.Strings(e)
 	return e
 }
@@ -204,60 +202,39 @@ func FromComparisons(name string, cs []bench.Comparison) ExperimentResult {
 	return res
 }
 
-// sweepSpec maps each sweep experiment to its runner and the exact
-// title/xlabel cmd/mcdsweep prints, so CLI and service output agree.
-// Each runner takes the request's explicit values (nil: the figure's
-// published set).
-var sweepSpec = map[string]struct {
-	title, xlabel string
-	run           func(bench.Options, []float64) []bench.SweepPoint
-}{
-	ExpSweepTarget: {
-		"Figure 5: performance degradation target (1.000_06.0_1.250_X.X)", "target",
-		func(o bench.Options, v []float64) []bench.SweepPoint { return o.SweepTarget(v) },
-	},
-	ExpSweepDecay: {
-		"Figures 6a/7a: Decay sensitivity (1.500_04.0_X.XXX_3.0)", "decay",
-		func(o bench.Options, v []float64) []bench.SweepPoint { return o.SweepDecay(v) },
-	},
-	ExpSweepReaction: {
-		"Figures 6b/7b: ReactionChange sensitivity (1.500_XX.X_0.750_3.0)", "reaction",
-		func(o bench.Options, v []float64) []bench.SweepPoint { return o.SweepReaction(v) },
-	},
-	ExpSweepDeviation: {
-		"Figures 6c/7c: DeviationThreshold sensitivity (X.XXX_06.0_0.175_2.5)", "deviation",
-		func(o bench.Options, v []float64) []bench.SweepPoint { return o.SweepDeviation(v) },
-	},
-}
-
 // RunExperimentRequest executes an experiment request on the given
 // harness options — the one execution path shared by the CLIs and the
 // service, so both render byte-identical bodies. Grid experiments
-// (table6/fig4/headline/all) run the Table 6 comparison matrix; sweep-*
-// run the corresponding sensitivity sweep.
+// (table6/fig4/headline/all) run the Table 6 comparison matrix; every
+// sweep-* runs one SweepController call: a paper figure sweeps its
+// bench.PaperSweeps row over attack-decay, sweep-controller the
+// request's own controller and parameter.
 func RunExperimentRequest(opts bench.Options, e ExperimentRequest) (ExperimentResult, error) {
 	if err := e.Validate(); err != nil {
 		return ExperimentResult{}, err
 	}
-	if e.Name == ExpSweepController {
-		pts, err := opts.SweepController(e.Controller, e.Param, e.Values, e.Params)
-		if err != nil {
-			return ExperimentResult{}, err
+	fig := strings.TrimPrefix(e.Name, "sweep-")
+	row, paper := bench.PaperSweeps[fig]
+	if !paper && e.Name != ExpSweepController {
+		return FromComparisons(e.Name, opts.RunAll()), nil
+	}
+	ctrl, param, values, fixed := e.Controller, e.Param, e.Values, e.Params
+	if paper {
+		ctrl, param, fixed = "attack-decay", row.Param, row.Fixed
+		if len(values) == 0 {
+			values = row.Values
 		}
+	}
+	pts, err := opts.SweepController(ctrl, param, values, fixed)
+	if err != nil {
+		return ExperimentResult{}, err
+	}
+	var out string
+	if paper {
+		out = bench.FormatSweep(row.Title, fig, pts)
+	} else {
 		title := fmt.Sprintf("Sensitivity: controller %s, parameter %s", e.Controller, e.Param)
-		return ExperimentResult{
-			Experiment: e.Name,
-			Output:     bench.FormatControllerSweep(title, e.Param, pts),
-			Sweep:      pts,
-		}, nil
+		out = bench.FormatControllerSweep(title, e.Param, pts)
 	}
-	if s, ok := sweepSpec[e.Name]; ok {
-		pts := s.run(opts, e.Values)
-		return ExperimentResult{
-			Experiment: e.Name,
-			Output:     bench.FormatSweep(s.title, s.xlabel, pts),
-			Sweep:      pts,
-		}, nil
-	}
-	return FromComparisons(e.Name, opts.RunAll()), nil
+	return ExperimentResult{Experiment: e.Name, Output: out, Sweep: pts}, nil
 }

@@ -153,7 +153,7 @@ func TestBenchGridSharesRegistryAddresses(t *testing.T) {
 	o.Benchmarks = []string{"adpcm"}
 	cmp := o.RunAll()[0]
 
-	slew := o.SlewNsPerMHz
+	slew := bench.SlewNsPerMHz
 	base := RunRequest{
 		Benchmark:    "adpcm",
 		Window:       o.Window,
@@ -187,7 +187,7 @@ func TestBenchGridSharesRegistryAddresses(t *testing.T) {
 	// The Global(·) compounds are registry cells too, parameterized by
 	// the measured baseline and degradation.
 	cfg := pipeline.DefaultConfig()
-	cfg.SlewNsPerMHz = o.SlewNsPerMHz
+	cfg.SlewNsPerMHz = bench.SlewNsPerMHz
 	run := control.Run{
 		Config:         cfg,
 		Profile:        cmp.Bench.Profile,

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mcd/internal/bench"
 	"mcd/internal/control"
 	"mcd/internal/pipeline"
 	"mcd/internal/resultcache"
@@ -75,14 +76,16 @@ type RunRequest struct {
 	store *resultcache.Cache
 }
 
-// DefaultSlewNsPerMHz is the compressed-scale regulator slew a request
-// gets when SlewNsPerMHz is nil (DESIGN.md, "time-scale compression").
-const DefaultSlewNsPerMHz = 4.91
-
 // U64 is a literal-pointer helper for the optional request fields.
 func U64(v uint64) *uint64 { return &v }
 
+// defaults is the harness's default operating point, which a request's
+// unset scale fields take.
+var defaults = bench.DefaultOptions()
+
 // Normalize fills defaulted fields in, returning the canonical request.
+// The scale defaults are the harness's (bench.DefaultOptions and
+// bench.SlewNsPerMHz).
 func (r RunRequest) Normalize() RunRequest {
 	if r.Benchmark == "" {
 		r.Benchmark = "epic.decode"
@@ -91,16 +94,16 @@ func (r RunRequest) Normalize() RunRequest {
 		r.Config = ConfigAttackDecay
 	}
 	if r.Window == 0 {
-		r.Window = 400_000
+		r.Window = defaults.Window
 	}
 	if r.Warmup == nil {
-		r.Warmup = U64(200_000)
+		r.Warmup = U64(defaults.Warmup)
 	}
 	if r.Interval == nil {
-		r.Interval = U64(1000)
+		r.Interval = U64(defaults.IntervalLength)
 	}
 	if r.SlewNsPerMHz == nil {
-		slew := DefaultSlewNsPerMHz
+		slew := bench.SlewNsPerMHz
 		r.SlewNsPerMHz = &slew
 	}
 	return r

@@ -176,7 +176,7 @@ func TestKeysDistinguishRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slew := DefaultSlewNsPerMHz
+	slew := 4.91
 	explicit, err := RunRequest{
 		Benchmark: "epic.decode", Config: ConfigAttackDecay,
 		Window: 400_000, Warmup: U64(200_000), Interval: U64(1000), SlewNsPerMHz: &slew,

@@ -19,8 +19,8 @@
 //	fmt.Printf("CPI %.3f  EPI %.1f pJ\n", res.CPI(), res.EPI())
 //
 // The experiment harness that regenerates every table and figure of the
-// paper lives in cmd/mcdbench, cmd/mcdtrace and cmd/mcdsweep; DESIGN.md
-// maps each experiment to the modules that implement it.
+// paper lives in cmd/mcdbench, cmd/mcdtrace and cmd/mcdsweep; DESIGN.md's
+// entry-point map names the way in to each experiment and exported name.
 package mcd
 
 import (
@@ -122,9 +122,9 @@ func Converged(metric func(Snapshot) float64, eps float64, k int) func(Snapshot)
 }
 
 // RunRequest names one run of a batch. Exactly one of Spec and Do must be
-// set: Spec describes a plain simulation run; Do wraps a compound
-// experiment (for example a BuildOffline followed by the run it
-// schedules, or a GlobalMatch search) as a closure.
+// set: Spec describes a plain simulation run; Do wraps any other run as
+// a closure (for example ControllerSpec for a compound controller such
+// as "dynamic" or "global", followed by Run).
 type RunRequest struct {
 	Name string
 	Spec *Spec
@@ -221,16 +221,6 @@ func RunBatch(ctx context.Context, reqs []RunRequest, opts BatchOptions) ([]Batc
 	return res, err
 }
 
-// Synchronous converts a configuration to the conventional fully
-// synchronous processor (single clock, no MCD overheads).
-func Synchronous(cfg Config) Config { return sim.Synchronous(cfg) }
-
-// RunSynchronousAt runs the fully synchronous processor at a global
-// frequency — conventional global voltage/frequency scaling.
-func RunSynchronousAt(cfg Config, prof Profile, window, warmup uint64, freqMHz float64, name string) Result {
-	return sim.Run(sim.SynchronousSpec(cfg, prof, window, warmup, freqMHz, name))
-}
-
 // Controller registry types: every control algorithm is a named,
 // parameterized factory in a process-wide registry (internal/control).
 // The registered set is what cmd/mcdsim's -config flag, cmd/mcdsweep's
@@ -258,12 +248,6 @@ type (
 // panics on duplicate or malformed definitions (call it at init time).
 func RegisterController(d ControllerDef) { control.Register(d) }
 
-// RegisterControllerAlias registers name as an alias of an existing
-// definition with the given parameters pinned.
-func RegisterControllerAlias(name, target string, pinned ControllerParams) {
-	control.Alias(name, target, pinned)
-}
-
 // Controllers returns the registry's self-description, sorted by name.
 func Controllers() []ControllerInfo { return control.Describe() }
 
@@ -282,17 +266,6 @@ func ControllerSpec(name string, p ControllerParams, run ControllerRun) (Spec, e
 	return res.Spec(run)
 }
 
-// ControllerKey resolves a registered controller like ControllerSpec
-// and returns the run's content address in the result store, without
-// paying for compound preparation.
-func ControllerKey(name string, p ControllerParams, run ControllerRun) (string, error) {
-	res, err := control.Resolve(name, p)
-	if err != nil {
-		return "", err
-	}
-	return res.Key(run)
-}
-
 // Params are the Attack/Decay configuration parameters (Table 2).
 type Params = core.Params
 
@@ -302,24 +275,6 @@ func DefaultParams() Params { return core.DefaultParams() }
 
 // NewAttackDecay returns the paper's on-line controller (Listing 1).
 func NewAttackDecay(p Params) Controller { return core.NewAttackDecay(p) }
-
-// OfflineOptions tunes the off-line schedule search.
-type OfflineOptions = core.OfflineOptions
-
-// BuildOffline constructs the off-line Dynamic-X% comparator: an
-// iterative, global-knowledge slack scheduler targeting a performance
-// degradation cap. It returns the schedule controller and the baseline
-// MCD run it profiled.
-func BuildOffline(cfg Config, prof Profile, window uint64, opts OfflineOptions) (*core.OfflineController, Result) {
-	return core.BuildOffline(cfg, prof, window, opts, nil)
-}
-
-// GlobalMatch finds the single global frequency at which the fully
-// synchronous processor matches a target slowdown (the Global(·) rows of
-// Table 6).
-func GlobalMatch(cfg Config, prof Profile, window, warmup uint64, baseTime, targetDeg float64, name string) (float64, Result) {
-	return core.GlobalMatch(baseTime, targetDeg, func(f float64) Result { return RunSynchronousAt(cfg, prof, window, warmup, f, name) })
-}
 
 // Workload modeling types: each benchmark of Table 5 is a deterministic
 // statistical trace generator (see DESIGN.md for the substitution).

@@ -43,7 +43,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicAPISynchronousBaseline(t *testing.T) {
 	bench, _ := mcd.LookupBenchmark("adpcm")
-	res := mcd.RunSynchronousAt(mcd.DefaultConfig(), bench.Profile, 50_000, 10_000, 1000, "sync")
+	spec, err := mcd.ControllerSpec("sync", mcd.ControllerParams{"freq_mhz": 1000}, mcd.ControllerRun{
+		Config: mcd.DefaultConfig(), Profile: bench.Profile, Window: 50_000, Warmup: 10_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := mcd.Run(spec)
 	if res.Instructions != 50_000 {
 		t.Fatalf("retired %d", res.Instructions)
 	}
