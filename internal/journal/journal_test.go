@@ -1,9 +1,13 @@
 package journal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mcd/internal/wire"
@@ -109,28 +113,91 @@ func TestCompactAndShouldCompact(t *testing.T) {
 	live.Runs = []wire.RunRequest{{Benchmark: "adpcm"}}
 	live.Run = nil
 	j.Submit(live)
-	if j.ShouldCompact() {
-		t.Fatal("fresh journal wants compaction")
-	}
-	for i := 0; i < CompactEvery; i++ {
+	j.Submit(submitN("j000010", KindRun))
+	j.State("j000010", "done")
+	// CompactEvery terminal records in all (j000010's included) trip the
+	// rewrite; the flood's junk ID never had a submit, so its terminal
+	// record stays to end a submit that may still land.
+	for i := 1; i < CompactEvery; i++ {
 		j.State("jx", "done")
 	}
-	if !j.ShouldCompact() {
-		t.Fatal("terminal flood did not trigger compaction")
-	}
-	if err := j.Compact([]Submit{live}); err != nil {
-		t.Fatal(err)
-	}
-	if j.ShouldCompact() {
-		t.Error("compaction did not reset the trigger")
-	}
 	b, _ := os.ReadFile(path)
-	if strings.Count(string(b), "\n") != 1 || !strings.Contains(string(b), "j000009") {
-		t.Errorf("compacted log = %q", b)
+	want := []string{
+		`{"t":"submit","job":{"id":"j000009","kind":"batch","runs":[{"benchmark":"adpcm"}]}}`,
+		`{"t":"state","id":"jx","state":"done"}`,
+		`{"t":"mark","id":"j000010"}`,
 	}
-	// The journal keeps accepting appends after compaction.
+	if got := string(b); got != strings.Join(want, "\n")+"\n" {
+		t.Errorf("compacted log = %q", got)
+	}
+	// The journal keeps accepting appends after compaction, and a submit
+	// for the ended junk ID never becomes live.
 	if err := j.State("j000009", "running"); err != nil {
 		t.Fatal(err)
+	}
+	j.Submit(submitN("jx", KindRun))
+	if p := j.Pending(); len(p) != 1 || p[0].ID != "j000009" {
+		t.Fatalf("Pending() = %+v, want only j000009", p)
+	}
+}
+
+// TestConcurrentAppendsAgreeWithReplay appends from several goroutines
+// at once, as the service's submitters and runners do, with enough
+// terminal records to trip compactions mid-flight. Half the jobs end
+// before their submit lands; every fourth is left live. The live set
+// in memory equals a fresh Open's, and holds exactly the unended jobs.
+func TestConcurrentAppendsAgreeWithReplay(t *testing.T) {
+	path := testPath(t)
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, jobs = 4, CompactEvery / 2
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				id := fmt.Sprintf("j%06d", 1+w*jobs+i)
+				steps := []func() error{
+					func() error { return j.Submit(submitN(id, KindRun)) },
+					func() error { return j.State(id, "running") },
+					func() error { return j.State(id, "done") },
+				}
+				switch {
+				case i%4 == 0:
+					steps = steps[:2] // still running
+				case i%2 == 1:
+					steps[0], steps[2] = steps[2], steps[0] // ended before its submit landed
+				}
+				for _, step := range steps {
+					if err := step(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	live := j.Pending()
+	if len(live) != writers*jobs/4 {
+		t.Errorf("%d live jobs, want %d", len(live), writers*jobs/4)
+	}
+	for _, s := range live {
+		if n, _ := strconv.Atoi(s.ID[1:]); (n-1)%jobs%4 != 0 {
+			t.Errorf("ended job %s is live", s.ID)
+		}
+	}
+	j.Close()
+	j2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if got := j2.Pending(); !reflect.DeepEqual(got, live) {
+		t.Errorf("reopened live set differs:\nin memory: %+v\nreopened:  %+v", live, got)
 	}
 }
 
@@ -161,7 +228,7 @@ func TestNilJournalIsInert(t *testing.T) {
 	if err := j.State("x", "done"); err != nil {
 		t.Fatal(err)
 	}
-	if j.ShouldCompact() || j.Pending() != nil || j.Compact(nil) != nil || j.Close() != nil {
+	if j.Pending() != nil || j.LastID() != "" || j.Close() != nil {
 		t.Fatal("nil journal misbehaved")
 	}
 }

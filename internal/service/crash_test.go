@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -19,8 +21,9 @@ import (
 )
 
 // TestCrashResumeByteIdentity is the crash-safety contract end to end:
-// submit jobs, hard-stop the manager mid-run with no drain (Kill — the
-// in-process stand-in for SIGKILL), restart over the same journal and
+// submit jobs, hard-stop the manager mid-run with no drain (journal
+// closed before the manager — the in-process stand-in for SIGKILL),
+// restart over the same journal and
 // cache directories, and every job reaches Done under its original ID
 // with a body byte-identical to an uninterrupted run's.
 func TestCrashResumeByteIdentity(t *testing.T) {
@@ -72,7 +75,8 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 		ids[i], jobs[i] = j.ID(), j
 	}
 	waitState(t, jobs[0], Running)
-	m.Kill() // no drain, no terminal journal records — as SIGKILL would leave it
+	jnl.Close() // no drain, no terminal journal records — as SIGKILL would leave it
+	m.Close()
 
 	// Restart over the same journal and cache directories.
 	jnl2, err := journal.Open(jpath)
@@ -309,7 +313,8 @@ func TestUserCancelDoesNotResurrect(t *testing.T) {
 		t.Fatal("cancel returned false")
 	}
 	waitState(t, victim, Failed)
-	m.Kill()
+	jnl.Close()
+	m.Close()
 
 	jnl2, err := journal.Open(jpath)
 	if err != nil {
@@ -320,5 +325,83 @@ func TestUserCancelDoesNotResurrect(t *testing.T) {
 		if sub.ID == victim.ID() {
 			t.Fatalf("cancelled job %s resurrected by replay", sub.ID)
 		}
+	}
+}
+
+// TestJournalCompactsUnderLoad runs more than CompactEvery journaled
+// jobs on one manager — two parked on blockers, the rest the same tiny
+// request, so all but the first are store hits — and checks that the
+// compaction the terminal records trip leaves only the still-live job's
+// submit record and a mark, and that a reopen after the last job ends
+// replays nothing. The second blocker's release is the tripping record,
+// so every other job's records have landed by then.
+func TestJournalCompactsUnderLoad(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "jobs.ndjson")
+	jnl, err := journal.Open(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := resultcache.New(resultcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Options{Runners: 3, Journal: jnl, Cache: cache})
+	defer m.Close()
+	tiny := wire.RunRequest{Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)}
+	blocker := func(release <-chan struct{}) *Job {
+		j, err := m.enqueue("", &journal.Submit{Kind: journal.KindRun, Run: &tiny}, "block", 1,
+			func(ctx context.Context, j *Job) ([]byte, error) {
+				<-release
+				return []byte("done\n"), nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, j, Running)
+		return j
+	}
+	releaseLive, releaseLast := make(chan struct{}), make(chan struct{})
+	live, last := blocker(releaseLive), blocker(releaseLast)
+	for range journal.CompactEvery - 1 {
+		j, err := m.SubmitRunAs("", resolve(t, tiny))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := j.WaitResult(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(releaseLast)
+	waitState(t, last, Done)
+
+	b, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastID := fmt.Sprintf("j%06d", journal.CompactEvery+1)
+	want := []string{`{"t":"submit","job":{"id":"` + live.ID() + `",`, `{"t":"mark","id":"` + lastID + `"}`}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("compacted log holds %d records, want the live submit and a mark:\n%s", len(lines), b)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("record %d = %s, want prefix %s", i, lines[i], w)
+		}
+	}
+
+	close(releaseLive)
+	waitState(t, live, Done)
+	jnl.Close()
+	jnl2, err := journal.Open(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl2.Close()
+	if p := jnl2.Pending(); len(p) != 0 {
+		t.Fatalf("reopen replays %d jobs, want none: %+v", len(p), p)
+	}
+	if got := jnl2.LastID(); got != lastID {
+		t.Errorf("LastID after reopen = %s, want %s", got, lastID)
 	}
 }

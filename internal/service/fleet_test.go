@@ -99,7 +99,8 @@ func TestJournalHoldsNoResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := j.ID()
-	m.Kill() // hard stop after completion, as SIGKILL would
+	jnl.Close() // hard stop after completion, as SIGKILL would
+	m.Close()
 
 	b, err := os.ReadFile(jpath)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -100,7 +101,7 @@ func NewHandler(m *Manager) http.Handler {
 }
 
 // runsPayload is the POST /v1/runs body: one run's fields inline, or a
-// batch under "runs"; async turns the single-run form into a queued
+// batch under "runs" — never both; async turns the single-run form into a queued
 // job, stream turns it into a live NDJSON interval feed (async+stream
 // queues a stream job whose intervals arrive on its /events feed).
 type runsPayload struct {
@@ -119,6 +120,10 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 	if len(p.Runs) > 0 {
 		if p.Stream {
 			writeError(w, http.StatusBadRequest, errors.New("stream applies to a single run, not a batch"))
+			return
+		}
+		if !reflect.ValueOf(p.RunRequest).IsZero() {
+			writeError(w, http.StatusBadRequest, errors.New("a batch takes its runs' fields inside \"runs\", not beside it"))
 			return
 		}
 		j, err := m.SubmitBatchAs(clientID(r), p.Runs)

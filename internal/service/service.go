@@ -160,11 +160,6 @@ type Manager struct {
 	// of a full-table scan per submission.
 	terminal []string
 	seq      int
-	// jnl is the persistent job journal (nil: no persistence). It lives
-	// behind mu so Kill can detach it atomically — a simulated crash
-	// must stop journaling before the cancellation fallout writes
-	// terminal states the real crash would never have written.
-	jnl *journal.Journal
 	// latEWMA tracks recent job latency (seconds, exponentially
 	// weighted) — the basis of Retry-After on 429 responses.
 	latEWMA float64
@@ -188,7 +183,6 @@ func New(opts Options) *Manager {
 		cancel: cancel,
 		jobs:   make(map[string]*Job),
 		retain: retainJobs,
-		jnl:    opts.Journal,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.met = newManagerMetrics(m, opts.Metrics)
@@ -247,22 +241,6 @@ func (m *Manager) Close() {
 	}
 }
 
-// Kill stops the manager as a crash would: the journal is detached and
-// its handle closed *before* anything is cancelled, so the shutdown
-// fallout writes no terminal states and the on-disk log is left exactly
-// as a SIGKILL mid-run would leave it — queued and running jobs still
-// live, ready for the next Manager over the same path to replay. The
-// in-process resources are still released (runners drained, contexts
-// cancelled), so tests can Kill without leaking goroutines.
-func (m *Manager) Kill() {
-	m.mu.Lock()
-	jnl := m.jnl
-	m.jnl = nil
-	m.mu.Unlock()
-	jnl.Close()
-	m.Close()
-}
-
 func (m *Manager) runLoop(runner int) {
 	defer m.wg.Done()
 	for {
@@ -285,16 +263,8 @@ func (m *Manager) runLoop(runner int) {
 // re-panicked task failures and context cancellations) into a Failed
 // state so a bad run can never kill the server.
 func (m *Manager) execute(runner int, j *Job) {
-	// Every exit leaves the job terminal: release its context (a
-	// cancelCtx stays registered on the manager's root context until
-	// cancelled — a leak over a long-lived server otherwise) and let
-	// the pruner see it.
-	defer func() {
-		j.cancel()
-		m.noteTerminal(j.id)
-	}()
 	if err := j.ctx.Err(); err != nil {
-		m.failJob(j, err)
+		m.finish(j, nil, err)
 		return
 	}
 	var created, started time.Time
@@ -343,42 +313,49 @@ func (m *Manager) execute(runner int, j *Job) {
 	if err == nil {
 		err = j.ctx.Err() // a cancelled job that limped to a result still failed
 	}
-	if err != nil {
-		m.failJob(j, err)
-		return
-	}
-	// Persist before publishing: publishing Done wakes WaitResult, and a
-	// job a client has seen finish must not come back queued after a
-	// crash.
-	m.journalState(j, Done)
-	var finished time.Time
-	var hit bool
-	j.update(func(j *Job) {
-		j.state = Done
-		j.result = body
-		j.finished = time.Now()
-		finished, hit = j.finished, j.hit
-	})
-	if m.tracing() {
-		m.addTrace(j, instantRec("done", finished))
-	}
-	m.log.Info("job done", "job", j.id, "kind", j.kind, "dur", dur,
-		"cache_hit", hit, "spec_key", j.key)
-	m.met.completed.With(string(Done)).Inc()
+	m.finish(j, body, err)
 }
 
-// failJob journals a job's Failed transition, then publishes it and
-// counts it; as for Done, persisting comes first.
-func (m *Manager) failJob(j *Job, err error) {
-	m.journalState(j, Failed)
-	j.fail(err)
+// finish is a job's one terminal transition: Done with body when err
+// is nil, Failed with err otherwise. The state is journaled before it
+// is published — publishing wakes WaitResult, and a job a client has
+// seen finish must not come back queued after a crash — then traced,
+// logged and counted. Last, the job's context is released (a cancelCtx
+// stays registered on the manager's root context until cancelled — a
+// leak over a long-lived server otherwise) and the pruner told.
+func (m *Manager) finish(j *Job, body []byte, err error) {
+	state := Done
+	if err != nil {
+		state = Failed
+	}
+	m.journalState(j, state)
+	var started, finished time.Time
+	var hit bool
+	j.update(func(j *Job) {
+		j.state, j.finished = state, time.Now()
+		if err != nil {
+			j.errMsg = err.Error()
+		} else {
+			j.result = body
+		}
+		started, finished, hit = j.started, j.finished, j.hit
+	})
 	if m.tracing() {
-		rec := instantRec("failed", time.Now())
-		rec.Note = err.Error()
+		rec := instantRec(string(state), finished)
+		if err != nil {
+			rec.Note = err.Error()
+		}
 		m.addTrace(j, rec)
 	}
-	m.log.Warn("job failed", "job", j.id, "kind", j.kind, "client", j.client, "error", err)
-	m.met.completed.With(string(Failed)).Inc()
+	if err != nil {
+		m.log.Warn("job failed", "job", j.id, "kind", j.kind, "client", j.client, "error", err)
+	} else {
+		m.log.Info("job done", "job", j.id, "kind", j.kind, "dur", finished.Sub(started),
+			"cache_hit", hit, "spec_key", j.key)
+	}
+	m.met.completed.With(string(state)).Inc()
+	j.cancel()
+	m.noteTerminal(j.id)
 }
 
 // journalState persists one state transition for a journaled job. While
@@ -387,16 +364,10 @@ func (m *Manager) failJob(j *Job, err error) {
 // process replays and resumes it, which is exactly the crash-safety
 // contract (and makes graceful restarts resume too).
 func (m *Manager) journalState(j *Job, s State) {
-	if j.sub == nil || m.ctx.Err() != nil {
+	if !j.journaled || m.ctx.Err() != nil {
 		return
 	}
-	m.mu.Lock()
-	jnl := m.jnl
-	m.mu.Unlock()
-	if jnl == nil {
-		return
-	}
-	if err := jnl.State(j.id, string(s)); err != nil {
+	if err := m.opts.Journal.State(j.id, string(s)); err != nil {
 		m.log.Error("journal state append failed; persistence degraded",
 			"job", j.id, "state", string(s), "error", err)
 		m.met.journalErrors.Inc()
@@ -436,8 +407,8 @@ func (m *Manager) RetryAfter() time.Duration {
 // queue gives a job built by jobFor or runJob (its kind, total, key
 // and run closure) its queue identity and state; its context is a child
 // of the manager's.
-func (m *Manager) queue(j *Job, id, client string, sub *journal.Submit) {
-	j.id, j.client, j.sub = id, client, sub
+func (m *Manager) queue(j *Job, id, client string, journaled bool) {
+	j.id, j.client, j.journaled = id, client, journaled
 	j.state, j.created, j.watch = Queued, time.Now(), make(chan struct{})
 	j.ctx, j.cancel = context.WithCancel(m.ctx)
 	if m.tracing() {
@@ -483,7 +454,7 @@ func (m *Manager) admit(client string, sub *journal.Submit, j *Job) (*Job, error
 		}
 	}
 	m.seq++
-	m.queue(j, fmt.Sprintf("j%06d", m.seq), client, sub)
+	m.queue(j, fmt.Sprintf("j%06d", m.seq), client, sub != nil)
 	if sub != nil {
 		sub.ID = j.id
 		sub.Client = client
@@ -492,7 +463,6 @@ func (m *Manager) admit(client string, sub *journal.Submit, j *Job) (*Job, error
 	m.pending = append(m.pending, j)
 	m.pruneLocked()
 	m.cond.Signal()
-	jnl := m.jnl
 	m.mu.Unlock()
 	if m.tracing() {
 		m.addTrace(j, instantRec("submit", j.created))
@@ -503,8 +473,8 @@ func (m *Manager) admit(client string, sub *journal.Submit, j *Job) (*Job, error
 	// submitter's acknowledgement, never the runner pool. A failed
 	// append degrades persistence (counted, job still runs) rather than
 	// failing the submission.
-	if sub != nil && jnl != nil {
-		if err := jnl.Submit(*sub); err != nil {
+	if sub != nil {
+		if err := m.opts.Journal.Submit(*sub); err != nil {
 			m.log.Error("journal append failed; persistence degraded", "job", j.id, "error", err)
 			m.met.journalErrors.Inc()
 		}
@@ -568,13 +538,13 @@ func (m *Manager) jobFor(sub *journal.Submit) (*Job, error) {
 // yields unique, non-empty IDs), reporting whether it was re-queued. A
 // submission that no longer validates (the registry changed across the
 // restart) lands in the table as Failed — visible to its watchers,
-// dropped at the next compaction — instead of blocking startup.
+// ended in the journal — instead of blocking startup.
 func (m *Manager) restore(sub journal.Submit) bool {
 	j, err := m.jobFor(&sub)
 	if err != nil {
 		j = &Job{kind: sub.Kind}
 	}
-	m.queue(j, sub.ID, sub.Client, &sub)
+	m.queue(j, sub.ID, sub.Client, true)
 	m.mu.Lock()
 	m.jobs[j.id] = j
 	if err == nil {
@@ -582,9 +552,7 @@ func (m *Manager) restore(sub journal.Submit) bool {
 	}
 	m.mu.Unlock()
 	if err != nil {
-		j.cancel()
-		m.failJob(j, fmt.Errorf("journal replay: %w", err))
-		m.noteTerminal(j.id)
+		m.finish(j, nil, fmt.Errorf("journal replay: %w", err))
 	}
 	return err == nil
 }
@@ -768,11 +736,8 @@ func (m *Manager) SubmitExperimentAs(client string, e wire.ExperimentRequest) (*
 // watcher sees an explicit gap frame instead.
 const maxTerminalIntervalLogs = 8
 
-// noteTerminal records a finished job for the pruner, releases the
-// interval log of the job that just aged past the retained window, and
-// — when enough terminal history has accumulated — compacts the journal
-// down to the still-live submissions. The live set is gathered under
-// the lock; the rewrite (disk I/O) happens outside it.
+// noteTerminal records a finished job for the pruner and releases the
+// interval log of the job that just aged past the retained window.
 func (m *Manager) noteTerminal(id string) {
 	m.mu.Lock()
 	m.terminal = append(m.terminal, id)
@@ -786,39 +751,7 @@ func (m *Manager) noteTerminal(id string) {
 		}
 	}
 	m.pruneLocked()
-	jnl := m.jnl
-	var live []journal.Submit
-	compact := jnl.ShouldCompact()
-	if compact {
-		live = m.liveSubmitsLocked()
-	}
 	m.mu.Unlock()
-	if compact {
-		if err := jnl.Compact(live); err != nil {
-			m.log.Error("journal compaction failed; persistence degraded", "error", err)
-			m.met.journalErrors.Inc()
-		}
-	}
-}
-
-// liveSubmitsLocked snapshots the journaled submissions of every job
-// still queued or running, in submission order — the survivor set a
-// journal compaction keeps. Callers hold m.mu.
-func (m *Manager) liveSubmitsLocked() []journal.Submit {
-	var live []journal.Submit
-	for _, j := range m.jobs {
-		if j.sub == nil {
-			continue
-		}
-		j.mu.Lock()
-		s := j.state
-		j.mu.Unlock()
-		if s == Queued || s == Running {
-			live = append(live, *j.sub)
-		}
-	}
-	sort.Slice(live, func(a, b int) bool { return journal.IDLess(live[a].ID, live[b].ID) })
-	return live
 }
 
 // pruneLocked drops the oldest-finished jobs (and their result bodies)
@@ -858,14 +791,14 @@ func (m *Manager) Cancel(id string) bool {
 		}
 	}
 	m.mu.Unlock()
-	j.cancel()
 	m.met.cancelled.Inc()
 	if dequeued {
-		// An explicit user cancel is terminal in the journal too: unlike a
-		// shutdown cancellation, the job must not resurrect at the next
+		// An explicit user cancel is terminal in the journal too: unlike
+		// a shutdown cancellation, the job must not resurrect at the next
 		// restart.
-		m.failJob(j, context.Canceled)
-		m.noteTerminal(j.id)
+		m.finish(j, nil, context.Canceled)
+	} else {
+		j.cancel() // a running job fails through execute
 	}
 	return true
 }
@@ -889,11 +822,11 @@ func (m *Manager) Jobs() []Snapshot {
 // Job is one unit of queued work. All fields are guarded by mu and read
 // through Snapshot.
 type Job struct {
-	id     string
-	kind   string
-	key    string          // spec key of a single-run job, set at submission; "" otherwise
-	client string          // quota identity; empty for direct library use
-	sub    *journal.Submit // journaled submission; nil for unjournaled jobs
+	id        string
+	kind      string
+	key       string // spec key of a single-run job, set at submission; "" otherwise
+	client    string // quota identity; empty for direct library use
+	journaled bool   // submission persisted; its state transitions are journaled too
 
 	ctx    context.Context
 	cancel context.CancelFunc

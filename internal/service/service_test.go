@@ -275,6 +275,17 @@ func TestExperimentJob(t *testing.T) {
 	}
 }
 
+// TestExperimentRejectsIgnoredField: a field the named experiment
+// ignores answers 400, and the error names it.
+func TestExperimentRejectsIgnoredField(t *testing.T) {
+	_, srv := newServer(t, service.Options{})
+	resp := postJSON(t, srv.URL+"/v1/experiments", map[string]any{"name": "table6", "values": []float64{1}})
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "values") {
+		t.Fatalf("status %d, body %s; want 400 naming values", resp.StatusCode, body)
+	}
+}
+
 // TestControllersEndpoint checks the registry self-description: every
 // name request validation accepts is advertised, with parameter schemas
 // on the parameterized entries.

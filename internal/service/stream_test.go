@@ -221,3 +221,32 @@ func TestStreamRejectsBatch(t *testing.T) {
 	}
 	readBody(t, resp)
 }
+
+// TestBatchRejectsSingleRunFields pins the 400 on a batch with a
+// single-run field beside "runs": the field would otherwise be dropped.
+func TestBatchRejectsSingleRunFields(t *testing.T) {
+	_, srv := newServer(t, service.Options{})
+	for _, field := range []map[string]any{
+		{"benchmark": "mcf"},
+		{"controller": "pi"},
+		{"params": map[string]float64{"kp": 0.1}},
+		{"window": 8000},
+		{"warmup": 0},
+		{"fidelity": "sampled"},
+	} {
+		body := map[string]any{"runs": []wire.RunRequest{small}}
+		for k, v := range field {
+			body[k] = v
+		}
+		resp := postJSON(t, srv.URL+"/v1/runs", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("batch beside %v: status %d, want 400", field, resp.StatusCode)
+		}
+		readBody(t, resp)
+	}
+	resp := postJSON(t, srv.URL+"/v1/runs", map[string]any{"runs": []wire.RunRequest{small}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("plain batch: status %d, want 202", resp.StatusCode)
+	}
+	readBody(t, resp)
+}

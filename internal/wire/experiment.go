@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -62,25 +63,34 @@ type ExperimentRequest struct {
 	Values []float64 `json:"values,omitempty"`
 	// Controller and Param select the registered controller and the
 	// schema parameter a sweep-controller experiment sweeps, and Params
-	// fixes its remaining parameters. Ignored by the other experiments.
+	// fixes its remaining parameters. The other experiments reject them,
+	// as the grid experiments reject Values.
 	Controller string             `json:"controller,omitempty"`
 	Param      string             `json:"param,omitempty"`
 	Params     map[string]float64 `json:"params,omitempty"`
 }
 
-// Validate checks the experiment name and the benchmark filter — an
-// unknown benchmark would otherwise be silently filtered out of the
-// grid and the experiment would "succeed" over an empty catalog.
+// Validate checks the experiment name, the fields it takes and the
+// benchmark filter — an unknown benchmark would otherwise be silently
+// filtered out of the grid and the experiment would "succeed" over an
+// empty catalog, and an ignored field would silently not apply.
 func (e ExperimentRequest) Validate() error {
-	known := false
-	for _, n := range Experiments() {
-		if n == e.Name {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(Experiments(), e.Name) {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", e.Name, strings.Join(Experiments(), ", "))
+	}
+	ctrl := e.Name == ExpSweepController
+	for _, f := range []struct {
+		name       string
+		set, takes bool
+	}{
+		{"controller", e.Controller != "", ctrl},
+		{"param", e.Param != "", ctrl},
+		{"params", len(e.Params) != 0, ctrl},
+		{"values", len(e.Values) != 0, strings.HasPrefix(e.Name, "sweep-")},
+	} {
+		if f.set && !f.takes {
+			return fmt.Errorf("experiment %q takes no %q field", e.Name, f.name)
+		}
 	}
 	for _, b := range e.Benchmarks {
 		if _, ok := workload.Lookup(b); !ok {

@@ -2,11 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"mcd/internal/bench"
+	"mcd/internal/sim"
 )
 
 // FuzzParseParams feeds arbitrary strings to the CLI parameter parser.
@@ -165,6 +170,57 @@ func FuzzFabricExecute(f *testing.F) {
 		if back.Key != ex.Key || again.Key != res.Key {
 			t.Fatalf("re-encoded execute %s: key %q resolves %q, original %q resolves %q",
 				body, back.Key, again.Key, ex.Key, res.Key)
+		}
+	})
+}
+
+// FuzzExperimentRequest decodes arbitrary bytes into an
+// ExperimentRequest as POST /v1/experiments does (unknown fields are an
+// error) and validates it. Nothing panics, and an accepted request's
+// harness options carry the window, warmup, benchmarks and fidelity it
+// named.
+func FuzzExperimentRequest(f *testing.F) {
+	for _, s := range []string{
+		`{}`,
+		`{"name":"table6","quick":true}`,
+		`{"name":"fig4","window":8000,"warmup":4000,"benchmarks":["adpcm","mcf"]}`,
+		`{"name":"sweep-decay","quick":true,"benchmarks":["adpcm","mcf"],"values":[0.0075],"fidelity":"sampled"}`,
+		`{"name":"sweep-controller","controller":"coord","param":"budget_mhz","params":{"step_mhz":50},"quick":true}`,
+		`{"name":"sweep-controller","controller":"pi"}`,
+		`{"name":"headline","fidelity":"sampled","sample_every":4}`,
+		`{"name":"all","values":[1]}`,
+		`{"name":"table6","controller":"pi"}`,
+		`{"name":"table6","benchmarks":["nonesuch"]}`,
+		`{"name":"table6","fidelity":"bogus"}`,
+		`{"name":"bogus"}`,
+		`{"name":"table6","async":true}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var e ExperimentRequest
+		if decodeStrict(data, &e) != nil || e.Validate() != nil {
+			return
+		}
+		opts, scale := e.Options(), bench.DefaultOptions()
+		if e.Quick {
+			scale = bench.QuickOptions()
+		}
+		if want := cmp.Or(e.Window, scale.Window); opts.Window != want {
+			t.Errorf("window %d, want %d", opts.Window, want)
+		}
+		if want := cmp.Or(e.Warmup, scale.Warmup); opts.Warmup != want {
+			t.Errorf("warmup %d, want %d", opts.Warmup, want)
+		}
+		want := e.Benchmarks
+		if len(want) == 0 {
+			want = scale.Benchmarks
+		}
+		if !slices.Equal(opts.Benchmarks, want) {
+			t.Errorf("benchmarks %q, want %q", opts.Benchmarks, want)
+		}
+		if fid, _ := sim.ParseFidelity(e.Fidelity); opts.Fidelity != fid {
+			t.Errorf("fidelity %v, want %v (%q)", opts.Fidelity, fid, e.Fidelity)
 		}
 	})
 }

@@ -132,6 +132,41 @@ func TestSweepControllerValidation(t *testing.T) {
 	}
 }
 
+// TestExperimentRejectsIgnoredFields: a field the named experiment
+// ignores is an error naming the field, never silently dropped.
+func TestExperimentRejectsIgnoredFields(t *testing.T) {
+	sweep := ExperimentRequest{Controller: "pi", Param: "kp", Params: map[string]float64{"setpoint": 3}}
+	for _, tc := range []struct {
+		req   ExperimentRequest
+		field string // "" means valid
+	}{
+		{ExperimentRequest{Name: "sweep-decay", Values: []float64{0.0075}}, ""},
+		{ExperimentRequest{Name: ExpSweepController, Controller: "pi", Param: "kp", Values: []float64{0.1}}, ""},
+		{ExperimentRequest{Name: ExpSweepController, Controller: "pi", Param: "kp", Params: map[string]float64{"setpoint": 3}}, ""},
+		{ExperimentRequest{Name: ExpTable6, Params: map[string]float64{}}, ""},
+		{ExperimentRequest{Name: "sweep-decay", Controller: "pi"}, "controller"},
+		{ExperimentRequest{Name: "sweep-target", Param: "kp"}, "param"},
+		{ExperimentRequest{Name: "sweep-reaction", Params: sweep.Params}, "params"},
+		{ExperimentRequest{Name: ExpTable6, Controller: sweep.Controller}, "controller"},
+		{ExperimentRequest{Name: ExpFig4, Param: sweep.Param}, "param"},
+		{ExperimentRequest{Name: ExpHeadline, Params: sweep.Params}, "params"},
+		{ExperimentRequest{Name: ExpTable6, Values: []float64{1}}, "values"},
+		{ExperimentRequest{Name: ExpFig4, Values: []float64{1}}, "values"},
+		{ExperimentRequest{Name: ExpHeadline, Values: []float64{1}}, "values"},
+		{ExperimentRequest{Name: ExpAll, Values: []float64{1}}, "values"},
+	} {
+		err := tc.req.Validate()
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%+v rejected: %v", tc.req, err)
+		case tc.field != "" && err == nil:
+			t.Errorf("%+v accepted, want %q rejected", tc.req, tc.field)
+		case tc.field != "" && !strings.Contains(err.Error(), `"`+tc.field+`"`):
+			t.Errorf("%+v: error %q does not name %q", tc.req, err, tc.field)
+		}
+	}
+}
+
 func TestValidateListsValidSets(t *testing.T) {
 	err := RunRequest{Benchmark: "adpcm", Config: "bogus"}.Validate()
 	if err == nil {
