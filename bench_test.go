@@ -2,8 +2,7 @@
 // evaluation. Each benchmark regenerates its experiment at a reduced scale
 // (QuickOptions: 10 benchmarks, 120k-instruction windows) and reports the
 // headline metrics via b.ReportMetric, printing the full rows once in
-// verbose mode. cmd/mcdbench and cmd/mcdsweep run the full-scale
-// versions.
+// verbose mode. cmd/mcdbench runs the full-scale versions.
 package mcd_test
 
 import (

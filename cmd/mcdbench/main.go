@@ -1,4 +1,7 @@
-// Command mcdbench regenerates the paper's tables and the Figure 4 series.
+// Command mcdbench regenerates the paper's tables, the Figure 4 series
+// and the Figures 5–7 sensitivity sweeps, and sweeps any numeric
+// parameter of any registered controller (the set `mcdsim -config`
+// accepts and GET /v1/controllers advertises).
 //
 // Usage:
 //
@@ -6,6 +9,11 @@
 //	mcdbench -exp fig4 -quick      # Figure 4 on the 10-benchmark subset
 //	mcdbench -exp headline
 //	mcdbench -exp table1|table2|table3|table4|table5   # static tables
+//	mcdbench -exp sweep-target -quick                  # Figure 5
+//	mcdbench -exp sweep-decay|sweep-reaction|sweep-deviation -quick   # Figures 6/7
+//	mcdbench -exp sweep-decay -quick -values 0.0075,0.02   # chosen x-axis values
+//	mcdbench -exp sweep-controller -quick -controller pi -param kp   # kp over its documented range
+//	mcdbench -exp sweep-controller -quick -controller pi -param kp -values 0.02,0.05,0.1 -set setpoint=3
 //	mcdbench -exp table6 -cache /var/cache/mcd   # reuse completed cells
 //	mcdbench -exp table6 -json     # machine-readable (wire.ExperimentResult)
 //	mcdbench -exp table6 -cpuprofile cpu.out     # pprof capture of the run
@@ -60,6 +68,10 @@ func main() {
 		maxErr    = flag.Float64("max-err", 0.02, "with -validate-fidelity: maximum mean relative CPI/EPI error across the grid")
 		maxCell   = flag.Float64("max-cell-err", 0.06, "with -validate-fidelity: maximum single-cell relative CPI/EPI error")
 		minSpeed  = flag.Float64("min-speedup", 5, "with -validate-fidelity: minimum sampled-over-exact wall-clock speedup (0: don't gate)")
+		values    = flag.String("values", "", "with a sweep-* experiment: comma-separated swept values (default: the figure's published set, or the parameter's documented range)")
+		ctrl      = flag.String("controller", "", "with -exp sweep-controller: the registered controller to sweep")
+		param     = flag.String("param", "", "with -exp sweep-controller: the controller's schema parameter to sweep")
+		set       = flag.String("set", "", "with -exp sweep-controller: fixed parameter overrides, name=value[,name=value...]")
 	)
 	flag.Parse()
 
@@ -75,12 +87,18 @@ func main() {
 		Window: *window, Warmup: *warmup,
 		Benchmarks: bench.SplitNames(*benchF),
 		Fidelity:   *fidelity, SampleEvery: *sampleN,
+		Controller: *ctrl, Param: *param,
 	}
-	if _, ok := static[*exp]; !ok && !*benchJSON {
-		if err := req.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "mcdbench: %v\n", err)
-			os.Exit(2)
-		}
+	var err error
+	if req.Values, err = wire.ParseValues(*values); err == nil {
+		req.Params, err = wire.ParseParams(*set)
+	}
+	if _, ok := static[*exp]; !ok && !*benchJSON && err == nil {
+		err = req.Validate()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mcdbench: %v\n", err)
+		os.Exit(2)
 	}
 
 	if *server != "" {

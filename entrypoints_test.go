@@ -15,8 +15,9 @@ import (
 // TestEntryPointMapCoversLibrary pins DESIGN.md's entry-point map to the
 // code: every exported name of the root mcd package and every package
 // directory of the module has a row, and the map names no mcd.X that
-// the package does not export (so a deleted entry point cannot linger
-// in it). The walk skips the separate perfbench module and hidden
+// the package does not export and no package row whose directory holds
+// no package (so a deleted entry point cannot linger in it). The walk
+// skips the separate perfbench module and hidden
 // directories, as internal/runner's TestMapCallers does.
 func TestEntryPointMapCoversLibrary(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
@@ -72,6 +73,7 @@ func TestEntryPointMapCoversLibrary(t *testing.T) {
 		}
 	}
 
+	pkgs := map[string]bool{}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() || path == "." {
 			return err
@@ -82,7 +84,9 @@ func TestEntryPointMapCoversLibrary(t *testing.T) {
 		src, _ := filepath.Glob(filepath.Join(path, "*.go"))
 		for _, s := range src {
 			if !strings.HasSuffix(s, "_test.go") {
-				if dir := filepath.ToSlash(path); !strings.Contains(section, "`"+dir+"`") {
+				dir := filepath.ToSlash(path)
+				pkgs[dir] = true
+				if !strings.Contains(section, "`"+dir+"`") {
 					t.Errorf("package %s has no row in DESIGN.md's entry-point map", dir)
 				}
 				break
@@ -92,5 +96,10 @@ func TestEntryPointMapCoversLibrary(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z0-9]+/[^`]+)` \\|").FindAllStringSubmatch(section, -1) {
+		if !pkgs[m[1]] {
+			t.Errorf("DESIGN.md's entry-point map has a row for %s, which is not a package directory", m[1])
+		}
 	}
 }

@@ -112,10 +112,6 @@ func (c *Clock) NextEdge() float64 {
 	return e
 }
 
-// LastEdge returns the time of the most recently consumed edge, or -Inf
-// before any edge has been consumed.
-func (c *Clock) LastEdge() float64 { return c.lastPS }
-
 // Advance consumes the pending edge and schedules the following one. It
 // returns the time of the consumed edge.
 func (c *Clock) Advance() float64 {

@@ -1,10 +1,12 @@
 package pipeline
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"mcd/internal/clock"
+	"mcd/internal/dvfs"
 	"mcd/internal/workload"
 )
 
@@ -49,6 +51,68 @@ func TestRunInvariantsProperty(t *testing.T) {
 		return res.PowerW() < 50
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: whatever a controller asks for — zero, negative or beyond
+// the scale — a controlled run at either fidelity tier keeps every
+// regulator target inside [DefaultMinFreqMHz, DefaultMaxFreqMHz], its
+// measured time and energy never decrease from one interval step to the
+// next, and it retires exactly the window.
+func TestControlledRunInvariantsProperty(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation property test")
+	}
+	b, _ := workload.Lookup("gzip")
+	const window, warmup = 40_000, 20_000
+	inRange := func(f [clock.NumControllable]float64) bool {
+		for _, mhz := range f {
+			if mhz < dvfs.DefaultMinFreqMHz || mhz > dvfs.DefaultMaxFreqMHz {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		for _, every := range []int{0, 4} {
+			rng := rand.New(rand.NewSource(seed))
+			ctrl := controllerFunc{name: "random", fn: func(IntervalView) (mhz [clock.NumControllable]float64) {
+				for d := range mhz {
+					mhz[d] = float64(rng.Intn(1600) - 200)
+				}
+				return mhz
+			}}
+			c := New(DefaultConfig(), b.Profile.NewGenerator(warmup+window))
+			c.Start(RunOptions{
+				Window: window, Warmup: warmup, IntervalLength: 500,
+				Controller: ctrl, RecordIntervals: true, SampleEvery: every,
+			})
+			prev := c.Progress()
+			for more := true; more; {
+				more = c.StepIntervals(1)
+				p := c.Progress()
+				if p.TimePS < prev.TimePS || p.EnergyPJ < prev.EnergyPJ || !inRange(p.FreqMHz) {
+					t.Logf("seed %d, SampleEvery %d: progress %+v after %+v", seed, every, p, prev)
+					return false
+				}
+				prev = p
+			}
+			res := c.Finish()
+			if res.Instructions != window {
+				t.Logf("seed %d, SampleEvery %d: retired %d, want %d", seed, every, res.Instructions, window)
+				return false
+			}
+			for _, iv := range res.Intervals {
+				if !inRange(iv.FreqMHz) {
+					t.Logf("seed %d, SampleEvery %d: interval %d targets %v", seed, every, iv.Index, iv.FreqMHz)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
 	}
 }

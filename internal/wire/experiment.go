@@ -38,8 +38,8 @@ func Experiments() []string {
 }
 
 // ExperimentRequest names a whole table, figure or sweep: the JSON body
-// of POST /v1/experiments and the programmatic form of cmd/mcdbench and
-// cmd/mcdsweep invocations.
+// of POST /v1/experiments and the programmatic form of cmd/mcdbench
+// invocations.
 type ExperimentRequest struct {
 	Name string `json:"name"`
 	// Quick selects the reduced scale (bench.QuickOptions).
@@ -159,8 +159,8 @@ type Comparison struct {
 }
 
 // ExperimentResult is what the service serves for a finished experiment
-// job and what mcdbench/mcdsweep -json print: the human-readable table
-// text plus the structured series behind it.
+// job and what mcdbench -json prints: the human-readable table text
+// plus the structured series behind it.
 type ExperimentResult struct {
 	Experiment  string             `json:"experiment"`
 	Output      string             `json:"output"`

@@ -21,17 +21,12 @@ import (
 	"mcd/internal/workload"
 )
 
-// Legacy configuration names. These remain registered (as definitions
-// or aliases) in internal/control, so requests written against the old
-// closed enum keep working byte-for-byte; the full valid set is
-// Controllers(), not these five.
-const (
-	ConfigSync        = "sync"
-	ConfigMCD         = "mcd"
-	ConfigAttackDecay = "attack-decay"
-	ConfigDynamic1    = "dynamic-1"
-	ConfigDynamic5    = "dynamic-5"
-)
+// ConfigAttackDecay is the default controller of a RunRequest. It and
+// the other legacy configuration names (sync, mcd, dynamic-1,
+// dynamic-5) stay registered in internal/control, so requests written
+// against the old closed enum keep working byte-for-byte; the full
+// valid set is Controllers().
+const ConfigAttackDecay = "attack-decay"
 
 // Controllers returns every valid controller name, sorted — derived
 // from the registry, so the CLIs, this package's validation errors and
@@ -238,6 +233,25 @@ func ParseParams(s string) (map[string]float64, error) {
 			return nil, fmt.Errorf("bad value for parameter %q: %v", name, err)
 		}
 		out[name] = v
+	}
+	return out, nil
+}
+
+// ParseValues parses the CLI spelling of a sweep's x-axis — numbers
+// separated by commas, e.g. "0.02,0.05,0.1" — into the JSON "values"
+// field. Blank entries are skipped; an empty string is nil.
+func ParseValues(s string) ([]float64, error) {
+	var out []float64
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		if f == "" {
+			continue
+		}
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad swept value %q: %v", f, err)
+		}
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -129,6 +130,36 @@ func TestSweepControllerValidation(t *testing.T) {
 		Params: map[string]float64{"step_mhz": 50},
 	}).Validate(); err != nil {
 		t.Fatalf("valid sweep-controller request rejected: %v", err)
+	}
+}
+
+// TestParseValues pins the CLI spelling of a sweep's x-axis: blank input
+// is nil (the figure's default set), blank entries are skipped, and a
+// bad entry's error names it.
+func TestParseValues(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []float64
+		bad  string // the entry the error must name; "" means valid
+	}{
+		{"", nil, ""},
+		{"  ", nil, ""},
+		{",", nil, ""},
+		{"0.0075", []float64{0.0075}, ""},
+		{" 0.02 , 0.05,,0.1 ", []float64{0.02, 0.05, 0.1}, ""},
+		{"-1,1e3", []float64{-1, 1000}, ""},
+		{"0.1,abc", nil, "abc"},
+		{"0.1, 2x ,3", nil, "2x"},
+	} {
+		got, err := ParseValues(tc.in)
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("ParseValues(%q): %v", tc.in, err)
+		case tc.bad == "" && (!slices.Equal(got, tc.want) || (got == nil) != (tc.want == nil)):
+			t.Errorf("ParseValues(%q) = %#v, want %#v", tc.in, got, tc.want)
+		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), `"`+tc.bad+`"`)):
+			t.Errorf("ParseValues(%q) error = %v, want one naming %q", tc.in, err, tc.bad)
+		}
 	}
 }
 

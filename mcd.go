@@ -19,7 +19,7 @@
 //	fmt.Printf("CPI %.3f  EPI %.1f pJ\n", res.CPI(), res.EPI())
 //
 // The experiment harness that regenerates every table and figure of the
-// paper lives in cmd/mcdbench, cmd/mcdtrace and cmd/mcdsweep; DESIGN.md's
+// paper lives in cmd/mcdbench and cmd/mcdtrace; DESIGN.md's
 // entry-point map names the way in to each experiment and exported name.
 package mcd
 
@@ -223,7 +223,7 @@ func RunBatch(ctx context.Context, reqs []RunRequest, opts BatchOptions) ([]Batc
 
 // Controller registry types: every control algorithm is a named,
 // parameterized factory in a process-wide registry (internal/control).
-// The registered set is what cmd/mcdsim's -config flag, cmd/mcdsweep's
+// The registered set is what cmd/mcdsim's -config flag, cmd/mcdbench's
 // -controller flag, the wire "controller" field and GET /v1/controllers
 // all accept — registering a controller makes it runnable everywhere at
 // once (see examples/customcontroller).
