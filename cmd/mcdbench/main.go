@@ -8,7 +8,7 @@
 //	mcdbench -exp table6           # full Table 6 over all 30 benchmarks
 //	mcdbench -exp fig4 -quick      # Figure 4 on the 10-benchmark subset
 //	mcdbench -exp headline
-//	mcdbench -exp table1|table2|table3|table4|table5   # static tables
+//	mcdbench -exp table1|table2|table3|table4|table5   # static tables: no other request flag
 //	mcdbench -exp sweep-target -quick                  # Figure 5
 //	mcdbench -exp sweep-decay|sweep-reaction|sweep-deviation -quick   # Figures 6/7
 //	mcdbench -exp sweep-decay -quick -values 0.0075,0.02   # chosen x-axis values
@@ -17,7 +17,7 @@
 //	mcdbench -exp table6 -cache /var/cache/mcd   # reuse completed cells
 //	mcdbench -exp table6 -json     # machine-readable (wire.ExperimentResult)
 //	mcdbench -exp table6 -cpuprofile cpu.out     # pprof capture of the run
-//	mcdbench -benchjson                          # hot-path perf report (BENCH_5.json schema)
+//	mcdbench -benchjson                          # hot-path perf report (BENCH_5.json schema); other flags but -benchbaseline and the profiles exit 2
 //	mcdbench -benchjson -benchbaseline BENCH_5.json   # CI perf-regression gate
 //	mcdbench -exp table6 -quick -server http://localhost:8080   # run on a server (or fabric coordinator)
 //
@@ -74,14 +74,22 @@ func main() {
 		set       = flag.String("set", "", "with -exp sweep-controller: fixed parameter overrides, name=value[,name=value...]")
 	)
 	flag.Parse()
-
-	static := map[string]func() string{
-		"table1": bench.Table1, "table2": bench.Table2, "table3": bench.Table3,
-		"table4": bench.Table4, "table5": bench.Table5,
+	if *benchJSON {
+		// The perf report reads no request: a request flag beside it
+		// would be silently ignored.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "benchjson", "benchbaseline", "cpuprofile", "memprofile":
+			default:
+				fmt.Fprintf(os.Stderr, "mcdbench: -benchjson takes no -%s\n", f.Name)
+				os.Exit(2)
+			}
+		})
 	}
-	// Every measured experiment is one request, the service's: the
-	// local and -server paths run the same one, and wire maps it onto
-	// harness options. The static tables need none.
+
+	// Every experiment is one request, the service's: the local and
+	// -server paths run the same one, and wire maps it onto harness
+	// options.
 	req := wire.ExperimentRequest{
 		Name: *exp, Quick: *quick,
 		Window: *window, Warmup: *warmup,
@@ -93,7 +101,7 @@ func main() {
 	if req.Values, err = wire.ParseValues(*values); err == nil {
 		req.Params, err = wire.ParseParams(*set)
 	}
-	if _, ok := static[*exp]; !ok && !*benchJSON && err == nil {
+	if err == nil {
 		err = req.Validate()
 	}
 	if err != nil {
@@ -155,29 +163,21 @@ func main() {
 		os.Exit(1)
 	}
 
-	emit := func(res wire.ExperimentResult) {
-		if !*jsonOut {
-			fmt.Print(res.Output)
-			return
-		}
-		b, err := wire.EncodeExperiment(res)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcdbench: %v\n", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(b)
-	}
-
-	if f, ok := static[*exp]; ok {
-		emit(wire.ExperimentResult{Experiment: *exp, Output: f()})
-		return
-	}
 	res, err := wire.RunExperimentRequest(opts, req)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mcdbench: %v\n", err)
 		os.Exit(1)
 	}
-	emit(res)
+	if !*jsonOut {
+		fmt.Print(res.Output)
+		return
+	}
+	b, err := wire.EncodeExperiment(res)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mcdbench: %v\n", err)
+		os.Exit(1)
+	}
+	os.Stdout.Write(b)
 }
 
 // runOnServer submits one experiment to a running mcdserve, polls the

@@ -42,11 +42,11 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	want := make([][]byte, len(reqs))
 	ref := New(Options{Runners: 1})
 	for i, r := range reqs {
-		j, err := ref.SubmitRunAs("", resolve(t, r))
+		j, err := ref.submitRun("", resolve(t, r))
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _, err := j.WaitResult(context.Background())
+		body, _, err := j.waitResult(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,13 +66,13 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	}
 	m := New(Options{Runners: 1, Journal: jnl, Cache: cache})
 	ids := make([]string, len(reqs))
-	jobs := make([]*Job, len(reqs))
+	jobs := make([]*job, len(reqs))
 	for i, r := range reqs {
-		j, err := m.SubmitRunAs("crash-client", resolve(t, r))
+		j, err := m.submitRun("crash-client", resolve(t, r))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[i], jobs[i] = j.ID(), j
+		ids[i], jobs[i] = j.id, j
 	}
 	waitState(t, jobs[0], Running)
 	jnl.Close() // no drain, no terminal journal records — as SIGKILL would leave it
@@ -93,11 +93,11 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	m2 := New(Options{Runners: 1, Journal: jnl2, Cache: cache2})
 	defer m2.Close()
 	for i, id := range ids {
-		j, ok := m2.Job(id)
+		j, ok := m2.job(id)
 		if !ok {
 			t.Fatalf("job %s not re-queued after restart", id)
 		}
-		body, snap, err := j.WaitResult(context.Background())
+		body, snap, err := j.waitResult(context.Background())
 		if err != nil {
 			t.Fatalf("resumed job %s: %v", id, err)
 		}
@@ -112,31 +112,31 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	// The replay gauge reports the resumed set, and new submissions
 	// continue the ID sequence past the replayed ones.
 	var scrape strings.Builder
-	if err := m2.Metrics().Render(&scrape); err != nil {
+	if err := m2.met.reg.Render(&scrape); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(scrape.String(), "mcd_journal_replayed_jobs 3") {
 		t.Errorf("scrape missing replay gauge:\n%s", scrape.String())
 	}
-	j4, err := m2.SubmitRunAs("", resolve(t, quickA))
+	j4, err := m2.submitRun("", resolve(t, quickA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j4.ID() != "j000004" {
-		t.Errorf("post-restart job ID = %s, want j000004 (sequence resumed past replayed IDs)", j4.ID())
+	if j4.id != "j000004" {
+		t.Errorf("post-restart job ID = %s, want j000004 (sequence resumed past replayed IDs)", j4.id)
 	}
 }
 
 // TestClientQuota pins the per-client budget: with the runner pinned, a
 // client may hold ClientQuota queued jobs; the next submission fails
-// with ErrQuota while other clients — and quota-exempt anonymous
+// with errQuota while other clients — and quota-exempt anonymous
 // submissions — still get in.
 func TestClientQuota(t *testing.T) {
 	m := New(Options{Runners: 1, QueueDepth: 16, ClientQuota: 2})
 	defer m.Close()
 	release := make(chan struct{})
 	defer close(release)
-	block := func(ctx context.Context, j *Job) ([]byte, error) {
+	block := func(ctx context.Context, j *job) ([]byte, error) {
 		select {
 		case <-release:
 			return []byte("done\n"), nil
@@ -151,7 +151,7 @@ func TestClientQuota(t *testing.T) {
 	}
 	waitState(t, running, Running)
 
-	var greedyJobs []*Job
+	var greedyJobs []*job
 	for i := 0; i < 2; i++ {
 		j, err := m.enqueue("greedy", nil, "block", 1, block)
 		if err != nil {
@@ -159,8 +159,8 @@ func TestClientQuota(t *testing.T) {
 		}
 		greedyJobs = append(greedyJobs, j)
 	}
-	if _, err := m.enqueue("greedy", nil, "block", 1, block); !errors.Is(err, ErrQuota) {
-		t.Fatalf("over-quota submission: err = %v, want ErrQuota", err)
+	if _, err := m.enqueue("greedy", nil, "block", 1, block); !errors.Is(err, errQuota) {
+		t.Fatalf("over-quota submission: err = %v, want errQuota", err)
 	}
 	// The queue itself still has room: another client gets in, and
 	// anonymous (library) submissions are exempt entirely.
@@ -173,7 +173,7 @@ func TestClientQuota(t *testing.T) {
 		}
 	}
 	// Cancelling one of greedy's queued jobs frees its budget.
-	if !m.Cancel(greedyJobs[0].ID()) {
+	if !m.cancelJob(greedyJobs[0].id) {
 		t.Fatal("cancel returned false")
 	}
 	waitState(t, greedyJobs[0], Failed)
@@ -191,7 +191,7 @@ func TestRejectionResponses(t *testing.T) {
 	defer m.Close()
 	release := make(chan struct{})
 	defer close(release)
-	running, err := m.enqueue("", nil, "block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	running, err := m.enqueue("", nil, "block", 1, func(ctx context.Context, j *job) ([]byte, error) {
 		select {
 		case <-release:
 			return []byte("done\n"), nil
@@ -279,6 +279,24 @@ func TestRejectionResponses(t *testing.T) {
 	}
 }
 
+// TestClosedManagerAnswers503: a submission that reaches a closed
+// manager, as in mcdserve's shutdown window between Manager.Close and
+// the HTTP server's shutdown, fails on the server's side: 503, not a
+// 400 that blames the request.
+func TestClosedManagerAnswers503(t *testing.T) {
+	m, srv := newServer(t, Options{})
+	m.Close()
+	for path, body := range map[string]string{
+		"/v1/runs":        `{"benchmark":"adpcm","config":"mcd","window":8000,"warmup":4000}`,
+		"/v1/experiments": `{"name":"table1"}`,
+	} {
+		resp := postJSON(t, srv.URL+path, json.RawMessage(body))
+		if got := readBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("POST %s after Close: status %d, want 503: %s", path, resp.StatusCode, got)
+		}
+	}
+}
+
 // TestUserCancelDoesNotResurrect: an explicit DELETE-style cancel is
 // terminal in the journal — unlike a crash, the job must not come back
 // at the next restart.
@@ -292,7 +310,7 @@ func TestUserCancelDoesNotResurrect(t *testing.T) {
 	m := New(Options{Runners: 1, QueueDepth: 8, Journal: jnl})
 	release := make(chan struct{})
 	defer close(release)
-	running, err := m.enqueue("", nil, "block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	running, err := m.enqueue("", nil, "block", 1, func(ctx context.Context, j *job) ([]byte, error) {
 		select {
 		case <-release:
 			return []byte("done\n"), nil
@@ -305,11 +323,11 @@ func TestUserCancelDoesNotResurrect(t *testing.T) {
 	}
 	waitState(t, running, Running)
 
-	victim, err := m.SubmitRunAs("alice", resolve(t, wire.RunRequest{Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)}))
+	victim, err := m.submitRun("alice", resolve(t, wire.RunRequest{Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Cancel(victim.ID()) {
+	if !m.cancelJob(victim.id) {
 		t.Fatal("cancel returned false")
 	}
 	waitState(t, victim, Failed)
@@ -322,7 +340,7 @@ func TestUserCancelDoesNotResurrect(t *testing.T) {
 	}
 	defer jnl2.Close()
 	for _, sub := range jnl2.Pending() {
-		if sub.ID == victim.ID() {
+		if sub.ID == victim.id {
 			t.Fatalf("cancelled job %s resurrected by replay", sub.ID)
 		}
 	}
@@ -348,9 +366,9 @@ func TestJournalCompactsUnderLoad(t *testing.T) {
 	m := New(Options{Runners: 3, Journal: jnl, Cache: cache})
 	defer m.Close()
 	tiny := wire.RunRequest{Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)}
-	blocker := func(release <-chan struct{}) *Job {
+	blocker := func(release <-chan struct{}) *job {
 		j, err := m.enqueue("", &journal.Submit{Kind: journal.KindRun, Run: &tiny}, "block", 1,
-			func(ctx context.Context, j *Job) ([]byte, error) {
+			func(ctx context.Context, j *job) ([]byte, error) {
 				<-release
 				return []byte("done\n"), nil
 			})
@@ -363,11 +381,11 @@ func TestJournalCompactsUnderLoad(t *testing.T) {
 	releaseLive, releaseLast := make(chan struct{}), make(chan struct{})
 	live, last := blocker(releaseLive), blocker(releaseLast)
 	for range journal.CompactEvery - 1 {
-		j, err := m.SubmitRunAs("", resolve(t, tiny))
+		j, err := m.submitRun("", resolve(t, tiny))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := j.WaitResult(context.Background()); err != nil {
+		if _, _, err := j.waitResult(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,7 +397,7 @@ func TestJournalCompactsUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	lastID := fmt.Sprintf("j%06d", journal.CompactEvery+1)
-	want := []string{`{"t":"submit","job":{"id":"` + live.ID() + `",`, `{"t":"mark","id":"` + lastID + `"}`}
+	want := []string{`{"t":"submit","job":{"id":"` + live.id + `",`, `{"t":"mark","id":"` + lastID + `"}`}
 	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
 	if len(lines) != len(want) {
 		t.Fatalf("compacted log holds %d records, want the live submit and a mark:\n%s", len(lines), b)

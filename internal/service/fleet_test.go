@@ -71,7 +71,7 @@ func TestFleetGate429(t *testing.T) {
 	}
 
 	var scrape strings.Builder
-	if err := m.Metrics().Render(&scrape); err != nil {
+	if err := m.met.reg.Render(&scrape); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(scrape.String(), `mcd_jobs_rejected_total{reason="fleet"} 1`) {
@@ -91,14 +91,14 @@ func TestJournalHoldsNoResults(t *testing.T) {
 	}
 	m := New(Options{Runners: 1, Journal: jnl})
 	req := wire.RunRequest{Benchmark: "adpcm", Config: "attack-decay", Window: 8_000, Warmup: wire.U64(4_000)}
-	j, err := m.SubmitRunAs("", resolve(t, req))
+	j, err := m.submitRun("", resolve(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := j.WaitResult(context.Background()); err != nil {
+	if _, _, err := j.waitResult(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	id := j.ID()
+	id := j.id
 	jnl.Close() // hard stop after completion, as SIGKILL would
 	m.Close()
 
@@ -118,7 +118,7 @@ func TestJournalHoldsNoResults(t *testing.T) {
 	}
 	m2 := New(Options{Runners: 1, Journal: jnl2})
 	defer m2.Close()
-	if _, ok := m2.Job(id); ok {
+	if _, ok := m2.job(id); ok {
 		t.Fatalf("finished job %s is back in the table after restart", id)
 	}
 }

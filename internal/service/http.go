@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mcd/internal/control"
+	"mcd/internal/journal"
 	"mcd/internal/trace"
 	"mcd/internal/wire"
 )
@@ -41,7 +42,7 @@ import (
 // the body.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", m.Metrics())
+	mux.Handle("GET /metrics", m.met.reg)
 	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) { handleRuns(m, w, r) })
 	mux.HandleFunc("POST /v1/experiments", func(w http.ResponseWriter, r *http.Request) { handleExperiments(m, w, r) })
 	mux.HandleFunc("GET /v1/controllers", func(w http.ResponseWriter, r *http.Request) {
@@ -52,19 +53,14 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"controllers": control.Describe()})
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": m.Jobs()})
+		writeJSON(w, http.StatusOK, map[string]any{"jobs": m.listJobs()})
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		j, ok := m.Job(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, ErrNotFound)
-			return
-		}
-		writeJSON(w, http.StatusOK, j.Snapshot())
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) { handleEvents(m, w, r) })
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) { handleResult(m, w, r) })
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) { handleJobTrace(m, w, r) })
+	mux.HandleFunc("GET /v1/jobs/{id}", jobRoute(m, func(m *Manager, w http.ResponseWriter, r *http.Request, j *job) {
+		writeJSON(w, http.StatusOK, j.snapshot())
+	}))
+	mux.HandleFunc("GET /v1/jobs/{id}/events", jobRoute(m, handleEvents))
+	mux.HandleFunc("GET /v1/jobs/{id}/result", jobRoute(m, handleResult))
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", jobRoute(m, handleJobTrace))
 	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		if !m.tracing() {
 			writeError(w, http.StatusNotFound, errTracingDisabled)
@@ -74,30 +70,38 @@ func NewHandler(m *Manager) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		trace.WriteChrome(w, recs, dropped)
 	})
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		j, ok := m.Job(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, ErrNotFound)
-			return
-		}
-		if snap := j.Snapshot(); snap.Terminal() {
+	mux.HandleFunc("DELETE /v1/jobs/{id}", jobRoute(m, func(m *Manager, w http.ResponseWriter, r *http.Request, j *job) {
+		if snap := j.snapshot(); snap.Terminal() {
 			writeError(w, http.StatusConflict, fmt.Errorf("job %s already %s", snap.ID, snap.State))
 			return
 		}
-		m.Cancel(j.ID())
+		m.cancelJob(j.id)
 		writeJSON(w, http.StatusOK, map[string]string{"status": "cancelling"})
-	})
+	}))
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /v1/cache/stats", func(w http.ResponseWriter, r *http.Request) {
-		if m.Cache() == nil {
+		if m.opts.Cache == nil {
 			writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": true, "stats": m.Cache().Stats()})
+		writeJSON(w, http.StatusOK, map[string]any{"enabled": true, "stats": m.opts.Cache.Stats()})
 	})
 	return mux
+}
+
+// jobRoute serves one /v1/jobs/{id} route: an unknown ID answers 404,
+// a known one reaches h with its job.
+func jobRoute(m *Manager, h func(m *Manager, w http.ResponseWriter, r *http.Request, j *job)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := m.job(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, errNotFound)
+			return
+		}
+		h(m, w, r, j)
+	}
 }
 
 // runsPayload is the POST /v1/runs body: one run's fields inline, or a
@@ -126,12 +130,12 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, errors.New("a batch takes its runs' fields inside \"runs\", not beside it"))
 			return
 		}
-		j, err := m.SubmitBatchAs(clientID(r), p.Runs)
+		j, err := m.submit(clientID(r), journal.Submit{Kind: journal.KindBatch, Runs: p.Runs}, nil)
 		if err != nil {
 			writeSubmitError(m, w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
+		writeJSON(w, http.StatusAccepted, j.snapshot())
 		return
 	}
 	run, err := p.RunRequest.Resolve()
@@ -139,44 +143,46 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if p.Async {
-		submit := m.SubmitRunAs
-		if p.Stream {
-			submit = m.SubmitStreamAs
-		}
-		j, err := submit(clientID(r), run)
-		if err != nil {
-			writeSubmitError(m, w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
-		return
-	}
-	if p.Stream {
-		handleStreamRun(m, w, r, run)
-		return
-	}
 	// Synchronous: a stored result is served straight from the cache —
 	// a hash lookup, never queued behind running experiments. Only a
 	// miss costs a job, so the concurrency/queue bounds apply exactly
-	// to the requests that simulate.
-	if body, ok := probe(m, run); ok {
-		w.Header().Set("X-Cache", "hit")
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		return
+	// to the requests that simulate. A stream hit is a single result
+	// frame, so the identical follow-up to a completed stream is a hit.
+	if !p.Async {
+		if body, ok := probe(m, run); ok {
+			w.Header().Set("X-Cache", "hit")
+			if p.Stream {
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				json.NewEncoder(w).Encode(wire.ResultFrame(body, true))
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(body)
+			return
+		}
 	}
-	j, err := m.SubmitRunAs(clientID(r), run)
-	if err != nil {
+	kind, req := journal.KindRun, run.Request()
+	if p.Stream {
+		kind = journal.KindStream
+	}
+	j, err := m.submit(clientID(r), journal.Submit{Kind: kind, Run: &req}, m.runJob(kind, run))
+	switch {
+	case err != nil:
 		writeSubmitError(m, w, err)
 		return
+	case p.Async:
+		writeJSON(w, http.StatusAccepted, j.snapshot())
+		return
+	case p.Stream:
+		streamRun(m, w, r, j)
+		return
 	}
-	body, snap, err := j.WaitResult(r.Context())
+	body, snap, err := j.waitResult(r.Context())
 	if err != nil {
 		// A client that gave up must not leave its job consuming queue
 		// or runner capacity; cancelling is also harmless for a job
 		// that already failed.
-		m.Cancel(j.ID())
+		m.cancelJob(j.id)
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -189,38 +195,25 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// handleStreamRun answers a {"stream":true} run with NDJSON
-// wire.StreamFrame lines: one "interval" frame per measured control
-// interval as the simulation produces it, then a terminal "result"
-// frame whose bytes are exactly the non-streamed response body (or an
-// "error" frame). The X-Cache header comes from a store probe before
-// streaming starts: a stored result answers as a single hit frame
-// without simulating, so the identical follow-up to a completed
-// streamed run is a hit — the byte-identity contract extends to
-// streams. The terminal frame's "cache" field is the authoritative
-// report: when an identical computation lands in flight between the
-// probe and the run, a stream that began as X-Cache: miss can legally
-// end with zero interval frames and a "cache":"hit" result. A client
-// that disconnects cancels the job, which closes the stepped session
-// at the next interval boundary.
-func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, run wire.Resolved) {
+// streamRun answers a synchronous {"stream":true} run that missed the
+// store with NDJSON wire.StreamFrame lines from its stream job j: one
+// "interval" frame per measured control interval as the simulation
+// produces it, then a terminal "result" frame whose bytes are exactly
+// the non-streamed response body (or an "error" frame). The X-Cache:
+// miss header comes from the store probe before streaming starts; the
+// terminal frame's "cache" field is the authoritative report: when an
+// identical computation lands in flight between the probe and the run,
+// a stream that began as a miss can legally end with zero interval
+// frames and a "cache":"hit" result. A client that disconnects cancels
+// the job, which closes the stepped session at the next interval
+// boundary.
+func streamRun(m *Manager, w http.ResponseWriter, r *http.Request, j *job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if body, ok := probe(m, run); ok {
-		w.Header().Set("X-Cache", "hit")
-		json.NewEncoder(w).Encode(wire.ResultFrame(body, true))
-		return
-	}
-	j, err := m.SubmitStreamAs(clientID(r), run)
-	if err != nil {
-		w.Header().Del("Content-Type")
-		writeSubmitError(m, w, err)
-		return
-	}
 	w.Header().Set("X-Cache", "miss")
 	done := follow(m, w, r, j, func(snap Snapshot) any {
 		switch {
 		case snap.State == Done:
-			body, _ := j.Result()
+			body, _ := j.result()
 			return wire.ResultFrame(body, snap.CacheHit)
 		case snap.Terminal():
 			return wire.ErrorFrame(snap.Error)
@@ -230,7 +223,7 @@ func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, run wir
 	if !done {
 		// A departed client must not keep simulating; cancellation
 		// closes the session between intervals.
-		m.Cancel(j.ID())
+		m.cancelJob(j.id)
 	}
 }
 
@@ -240,7 +233,7 @@ func probe(m *Manager, run wire.Resolved) ([]byte, bool) {
 	if run.Key == "" {
 		return nil, false
 	}
-	return m.Cache().GetBytes(run.Key)
+	return m.opts.Cache.GetBytes(run.Key)
 }
 
 // errTracingDisabled answers trace requests on an untraced server.
@@ -253,17 +246,12 @@ var errTracingDisabled = errors.New("tracing disabled (start mcdserve with -trac
 // audit renders on a simulated-time track with per-domain frequency and
 // occupancy counters. A trace that aged past the retained window
 // answers with an empty (but valid) document.
-func handleJobTrace(m *Manager, w http.ResponseWriter, r *http.Request) {
-	j, ok := m.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound)
-		return
-	}
+func handleJobTrace(m *Manager, w http.ResponseWriter, r *http.Request, j *job) {
 	if !m.tracing() {
 		writeError(w, http.StatusNotFound, errTracingDisabled)
 		return
 	}
-	recs, dropped := j.Trace().Snapshot()
+	recs, dropped := j.traceRing().Snapshot()
 	w.Header().Set("Content-Type", "application/json")
 	trace.WriteChrome(w, recs, dropped)
 }
@@ -274,12 +262,12 @@ func handleExperiments(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	j, err := m.SubmitExperimentAs(clientID(r), e)
+	j, err := m.submit(clientID(r), journal.Submit{Kind: journal.KindExperiment, Experiment: &e}, nil)
 	if err != nil {
 		writeSubmitError(m, w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.Snapshot())
+	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
 // handleEvents streams one NDJSON snapshot line per progress update,
@@ -287,12 +275,7 @@ func handleExperiments(m *Manager, w http.ResponseWriter, r *http.Request) {
 // stream jobs the snapshots are interleaved with "interval" frames
 // (wire.StreamFrame lines) as the simulation produces them, so an
 // async streamed run is observable live through its /events feed.
-func handleEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
-	j, ok := m.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound)
-		return
-	}
+func handleEvents(m *Manager, w http.ResponseWriter, r *http.Request, j *job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	var last Snapshot
 	haveLast := false
@@ -314,14 +297,14 @@ func handleEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 // then a flush. It reports whether the terminal snapshot's line was
 // reached; false means the client left first (a failed write or a
 // closed request context).
-func follow(m *Manager, w http.ResponseWriter, r *http.Request, j *Job, line func(Snapshot) any) bool {
+func follow(m *Manager, w http.ResponseWriter, r *http.Request, j *job, line func(Snapshot) any) bool {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	next := 0
 	for {
-		ch := j.Watch()
-		snap := j.Snapshot()
-		ivs, n, dropped := j.IntervalsSince(next)
+		ch := j.watch()
+		snap := j.snapshot()
+		ivs, n, dropped := j.intervalsSince(next)
 		next = n
 		if dropped > 0 {
 			// The metric counts exactly the records each gap frame
@@ -357,16 +340,11 @@ func follow(m *Manager, w http.ResponseWriter, r *http.Request, j *Job, line fun
 	}
 }
 
-func handleResult(m *Manager, w http.ResponseWriter, r *http.Request) {
-	j, ok := m.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound)
-		return
-	}
-	snap := j.Snapshot()
+func handleResult(m *Manager, w http.ResponseWriter, r *http.Request, j *job) {
+	snap := j.snapshot()
 	switch snap.State {
 	case Done:
-		body, _ := j.Result()
+		body, _ := j.result()
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
 	case Failed:
@@ -409,20 +387,25 @@ func clientID(r *http.Request) string {
 // drained at recent job latency) and name their reason — "queue" means
 // everyone is waiting, "quota" means this client specifically should
 // back off — so clients can distinguish server pressure from their own.
+// A closed (shutting-down) manager answers 503; any other failure is
+// the request's own, 400.
 func writeSubmitError(m *Manager, w http.ResponseWriter, err error) {
 	reason := ""
 	switch {
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, errQueueFull):
 		reason = "queue"
-	case errors.Is(err, ErrQuota):
+	case errors.Is(err, errQuota):
 		reason = "quota"
 	case errors.Is(err, ErrFleet):
 		reason = "fleet"
+	case errors.Is(err, errClosed):
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
 	default:
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	retry := m.RetryAfter()
+	retry := m.retryAfter()
 	secs := int(retry / time.Second)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	writeJSON(w, http.StatusTooManyRequests, map[string]any{

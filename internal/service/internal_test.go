@@ -17,13 +17,19 @@ import (
 )
 
 // enqueue admits a hand-made job closure, as the queue tests need.
-func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total int, run func(ctx context.Context, j *Job) ([]byte, error)) (*Job, error) {
-	return m.admit(client, sub, &Job{kind: kind, total: total, run: run})
+func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total int, run func(ctx context.Context, j *job) ([]byte, error)) (*job, error) {
+	return m.admit(client, sub, &job{kind: kind, total: total, run: run})
 }
 
-// submit enqueues an anonymous, unjournaled job closure.
-func (m *Manager) submit(kind string, total int, run func(ctx context.Context, j *Job) ([]byte, error)) (*Job, error) {
+// submitFunc enqueues an anonymous, unjournaled job closure.
+func (m *Manager) submitFunc(kind string, total int, run func(ctx context.Context, j *job) ([]byte, error)) (*job, error) {
 	return m.enqueue("", nil, kind, total, run)
+}
+
+// submitRun enqueues one resolved run as the run handler does.
+func (m *Manager) submitRun(client string, r wire.Resolved) (*job, error) {
+	req := r.Request()
+	return m.submit(client, journal.Submit{Kind: journal.KindRun, Run: &req}, m.runJob(journal.KindRun, r))
 }
 
 // resolve resolves a request a test knows to be valid.
@@ -38,9 +44,9 @@ func resolve(t *testing.T, r wire.RunRequest) wire.Resolved {
 
 // blockingJob submits a job that parks until release is closed,
 // pinning the single runner so queue behaviour is deterministic.
-func blockingJob(t *testing.T, m *Manager, release <-chan struct{}) *Job {
+func blockingJob(t *testing.T, m *Manager, release <-chan struct{}) *job {
 	t.Helper()
-	j, err := m.submit("block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	j, err := m.submitFunc("block", 1, func(ctx context.Context, j *job) ([]byte, error) {
 		select {
 		case <-release:
 			return []byte("done\n"), nil
@@ -54,12 +60,12 @@ func blockingJob(t *testing.T, m *Manager, release <-chan struct{}) *Job {
 	return j
 }
 
-func waitState(t *testing.T, j *Job, want State) Snapshot {
+func waitState(t *testing.T, j *job, want State) Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ch := j.Watch()
-		snap := j.Snapshot()
+		ch := j.watch()
+		snap := j.snapshot()
 		if snap.State == want {
 			return snap
 		}
@@ -75,7 +81,7 @@ func waitState(t *testing.T, j *Job, want State) Snapshot {
 
 // TestQueueDegradesThenRejects pins the overload contract: with one
 // runner and depth N, N jobs queue and job N+1 is refused with
-// ErrQueueFull instead of growing memory without bound.
+// errQueueFull instead of growing memory without bound.
 func TestQueueDegradesThenRejects(t *testing.T) {
 	m := New(Options{Runners: 1, QueueDepth: 2})
 	defer m.Close()
@@ -87,23 +93,23 @@ func TestQueueDegradesThenRejects(t *testing.T) {
 
 	q1 := blockingJob(t, m, release)
 	q2 := blockingJob(t, m, release)
-	if s := q1.Snapshot().State; s != Queued {
+	if s := q1.snapshot().State; s != Queued {
 		t.Fatalf("q1 state %s, want queued", s)
 	}
 
-	if _, err := m.submit("block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	if _, err := m.submitFunc("block", 1, func(ctx context.Context, j *job) ([]byte, error) {
 		return nil, nil
-	}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overflow submit: err = %v, want ErrQueueFull", err)
+	}); !errors.Is(err, errQueueFull) {
+		t.Fatalf("overflow submit: err = %v, want errQueueFull", err)
 	}
 
 	// Cancelling a queued job frees its slot immediately — the next
 	// submission fits while the runner is still pinned.
-	if !m.Cancel(q2.id) {
+	if !m.cancelJob(q2.id) {
 		t.Fatal("cancel queued job returned false")
 	}
 	waitState(t, q2, Failed)
-	if _, err := m.submit("block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	if _, err := m.submitFunc("block", 1, func(ctx context.Context, j *job) ([]byte, error) {
 		return nil, nil
 	}); err != nil {
 		t.Fatalf("submit after cancelling a queued job: %v", err)
@@ -121,14 +127,14 @@ func TestCancelQueuedJob(t *testing.T) {
 	waitState(t, running, Running)
 
 	executed := false
-	victim, err := m.submit("victim", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	victim, err := m.submitFunc("victim", 1, func(ctx context.Context, j *job) ([]byte, error) {
 		executed = true
 		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Cancel(victim.id) {
+	if !m.cancelJob(victim.id) {
 		t.Fatal("cancel returned false")
 	}
 	close(release) // unblock the runner; it should skip the victim
@@ -152,7 +158,7 @@ func TestCancelRunningJob(t *testing.T) {
 
 	j := blockingJob(t, m, release)
 	waitState(t, j, Running)
-	m.Cancel(j.id)
+	m.cancelJob(j.id)
 	waitState(t, j, Failed)
 }
 
@@ -219,8 +225,8 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung")
 	}
-	for _, j := range []*Job{running, queued} {
-		if s := j.Snapshot(); s.State != Failed || s.Error == "" {
+	for _, j := range []*job{running, queued} {
+		if s := j.snapshot(); s.State != Failed || s.Error == "" {
 			t.Errorf("job %s after Close: state=%s err=%q, want failed with an error", s.ID, s.State, s.Error)
 		}
 	}
@@ -235,9 +241,9 @@ func TestRetentionBoundsJobTable(t *testing.T) {
 	m.retain = 3
 	m.mu.Unlock()
 
-	var last *Job
+	var last *job
 	for i := 0; i < 6; i++ {
-		j, err := m.submit("quick", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+		j, err := m.submitFunc("quick", 1, func(ctx context.Context, j *job) ([]byte, error) {
 			return []byte("x\n"), nil
 		})
 		if err != nil {
@@ -252,10 +258,10 @@ func TestRetentionBoundsJobTable(t *testing.T) {
 	if n > 3 {
 		t.Fatalf("job table holds %d jobs, want ≤ 3", n)
 	}
-	if _, ok := m.Job(last.id); !ok {
+	if _, ok := m.job(last.id); !ok {
 		t.Fatal("newest job was pruned")
 	}
-	if _, ok := m.Job("j000001"); ok {
+	if _, ok := m.job("j000001"); ok {
 		t.Fatal("oldest terminal job survived pruning")
 	}
 }
@@ -266,7 +272,7 @@ func TestJobPanicIsIsolated(t *testing.T) {
 	m := New(Options{Runners: 1, QueueDepth: 4})
 	defer m.Close()
 
-	bad, err := m.submit("bad", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	bad, err := m.submitFunc("bad", 1, func(ctx context.Context, j *job) ([]byte, error) {
 		panic("boom")
 	})
 	if err != nil {
@@ -274,14 +280,14 @@ func TestJobPanicIsIsolated(t *testing.T) {
 	}
 	waitState(t, bad, Failed)
 
-	good, err := m.submit("good", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	good, err := m.submitFunc("good", 1, func(ctx context.Context, j *job) ([]byte, error) {
 		return []byte("ok\n"), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, good, Done)
-	if b, ok := good.Result(); !ok || string(b) != "ok\n" {
+	if b, ok := good.result(); !ok || string(b) != "ok\n" {
 		t.Fatalf("result = %q, %v", b, ok)
 	}
 }
@@ -290,12 +296,12 @@ func TestJobPanicIsIsolated(t *testing.T) {
 // lags past maxJobIntervals gets an explicit dropped count, never a
 // silent hole.
 func TestIntervalLogReportsDrops(t *testing.T) {
-	j := &Job{watch: make(chan struct{})}
+	j := &job{wake: make(chan struct{})}
 	total := maxJobIntervals + 100
 	for i := 0; i < total; i++ {
 		j.pushInterval(stats.Interval{Index: i})
 	}
-	ivs, next, dropped := j.IntervalsSince(0)
+	ivs, next, dropped := j.intervalsSince(0)
 	if dropped != 100 {
 		t.Errorf("dropped = %d, want 100", dropped)
 	}
@@ -306,7 +312,7 @@ func TestIntervalLogReportsDrops(t *testing.T) {
 		t.Errorf("log window [%d, %d], want [100, %d]", ivs[0].Index, ivs[len(ivs)-1].Index, total-1)
 	}
 	// A caught-up consumer sees no drops and no records.
-	ivs, next2, dropped := j.IntervalsSince(next)
+	ivs, next2, dropped := j.intervalsSince(next)
 	if len(ivs) != 0 || dropped != 0 || next2 != next {
 		t.Errorf("caught-up read: %d records, %d dropped", len(ivs), dropped)
 	}

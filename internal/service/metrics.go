@@ -37,7 +37,7 @@ var jobDurationBuckets = []float64{
 }
 
 // newManagerMetrics registers the manager's instruments on reg (a
-// private registry when reg is nil, so Manager.Metrics always serves
+// private registry when reg is nil, so GET /metrics always serves
 // something).
 func newManagerMetrics(m *Manager, reg *metrics.Registry) *managerMetrics {
 	if reg == nil {
@@ -143,7 +143,7 @@ func (m *Manager) queueDepth() float64 {
 // scrape after startup already shows the full shape.
 func (m *Manager) stateCounts() map[string]float64 {
 	m.mu.Lock()
-	js := make([]*Job, 0, len(m.jobs))
+	js := make([]*job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		js = append(js, j)
 	}
@@ -152,7 +152,7 @@ func (m *Manager) stateCounts() map[string]float64 {
 		string(Queued): 0, string(Running): 0, string(Done): 0, string(Failed): 0,
 	}
 	for _, j := range js {
-		counts[string(j.Snapshot().State)]++
+		counts[string(j.snapshot().State)]++
 	}
 	return counts
 }

@@ -1,4 +1,4 @@
-package service_test
+package service
 
 import (
 	"bytes"
@@ -19,7 +19,6 @@ import (
 	"mcd/internal/fabric"
 	"mcd/internal/journal"
 	"mcd/internal/resultcache"
-	"mcd/internal/service"
 	"mcd/internal/sim"
 	"mcd/internal/trace"
 	"mcd/internal/wire"
@@ -86,7 +85,7 @@ func TestRequestResolvedOnce(t *testing.T) {
 		}
 	}
 
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	check("synchronous miss", 1, 1, func() {
 		if c := postCache(t, srv.URL, req); c != "miss" {
 			t.Errorf("first run X-Cache %q, want miss", c)
@@ -98,14 +97,14 @@ func TestRequestResolvedOnce(t *testing.T) {
 		}
 	})
 
-	_, srv = newServer(t, service.Options{})
+	_, srv = newServer(t, Options{})
 	check("streamed miss", 1, 1, func() {
 		if c := postCache(t, srv.URL, streamPayload(map[string]any{"config": "t-counted"})); c != "miss" {
 			t.Errorf("stream X-Cache %q, want miss", c)
 		}
 	})
 
-	_, srv = newServer(t, service.Options{Trace: trace.NewRing(1024)})
+	_, srv = newServer(t, Options{Trace: trace.NewRing(1024)})
 	check("traced synchronous miss", 1, 1, func() { postCache(t, srv.URL, req) })
 
 	cache, err := resultcache.New(resultcache.Options{})
@@ -118,7 +117,7 @@ func TestRequestResolvedOnce(t *testing.T) {
 	wsrv := httptest.NewServer(worker.Handler())
 	defer wsrv.Close()
 	coord.Register(wire.FabricHello{ID: "w1", URL: wsrv.URL, Slots: 1})
-	_, srv = newServer(t, service.Options{Cache: cache, Dispatch: coord.Execute})
+	_, srv = newServer(t, Options{Cache: cache, Dispatch: coord.Execute})
 	// The coordinator derives the key once; the worker's drift check
 	// derives it again, from the bytes that crossed the process
 	// boundary, and builds the spec it runs.
@@ -149,7 +148,7 @@ func (b *syncBuffer) String() string {
 // "job done" log all carry the same non-empty key.
 func TestRunJobSpansCarryKey(t *testing.T) {
 	var logs syncBuffer
-	_, srv := newServer(t, service.Options{
+	_, srv := newServer(t, Options{
 		Trace:  trace.NewRing(1024),
 		Logger: slog.New(slog.NewJSONHandler(&logs, nil)),
 	})
@@ -162,7 +161,7 @@ func TestRunJobSpansCarryKey(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", resp.StatusCode, readBody(t, resp))
 	}
-	var snap service.Snapshot
+	var snap Snapshot
 	if err := json.Unmarshal(readBody(t, resp), &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -220,24 +219,24 @@ func TestJobIDsUniqueAcrossRestarts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := service.New(service.Options{Runners: 1, Journal: jnl})
+		m := New(Options{Runners: 1, Journal: jnl})
 		run, err := wire.RunRequest{Benchmark: bench, Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)}.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := m.SubmitRunAs("", run)
+		j, err := m.submitRun("", run)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := j.WaitResult(context.Background()); err != nil {
+		if _, _, err := j.waitResult(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		m.Close()
 		jnl.Close()
-		if seen[j.ID()] {
-			t.Fatalf("restart %d reused job ID %s", round, j.ID())
+		if seen[j.id] {
+			t.Fatalf("restart %d reused job ID %s", round, j.id)
 		}
-		seen[j.ID()] = true
+		seen[j.id] = true
 	}
 }
 
@@ -246,14 +245,14 @@ func TestJobIDsUniqueAcrossRestarts(t *testing.T) {
 // does: one run span per element, each under its own spec key, written
 // from concurrent batch workers.
 func TestTracedBatchRunsCarryTheirKeys(t *testing.T) {
-	_, srv := newServer(t, service.Options{Trace: trace.NewRing(4096), Workers: 2})
+	_, srv := newServer(t, Options{Trace: trace.NewRing(4096), Workers: 2})
 	a, b := small, small
 	b.Benchmark = "mcf"
 	resp := postJSON(t, srv.URL+"/v1/runs", map[string]any{"runs": []wire.RunRequest{a, b}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, readBody(t, resp))
 	}
-	var snap service.Snapshot
+	var snap Snapshot
 	if err := json.Unmarshal(readBody(t, resp), &snap); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@
 // queue of simulation jobs — single runs, batches over mcd.RunBatch,
 // and whole table/figure/sweep experiments — executed by a fixed pool
 // of job runners, with states, per-task progress, context cancellation
-// and result-store integration. cmd/mcdserve exposes it over HTTP via
-// NewHandler; the bounded queue means a flood of requests degrades to
-// queuing (then ErrQueueFull) rather than unbounded memory growth.
+// and result-store integration. Callers outside the package build a
+// Manager with New, serve it with NewHandler and stop it with Close;
+// every submission enters through the HTTP handlers, which share one
+// submission path. The bounded queue means a flood of requests degrades
+// to queuing (then a 429) rather than unbounded memory growth.
 package service
 
 import (
@@ -42,16 +44,16 @@ const (
 	Failed  State = "failed"
 )
 
-// ErrQueueFull reports that the job queue is at its configured depth;
+// errQueueFull reports that the job queue is at its configured depth;
 // the client should retry later (the HTTP layer maps it to 429).
-var ErrQueueFull = errors.New("service: job queue full")
+var errQueueFull = errors.New("service: job queue full")
 
-// ErrQuota reports that one client's share of the queue is exhausted
+// errQuota reports that one client's share of the queue is exhausted
 // while the queue itself still has room: the greedy client gets its own
 // 429s (with a Retry-After) instead of starving everyone else. The HTTP
-// layer distinguishes it from ErrQueueFull in the error body so clients
+// layer distinguishes it from errQueueFull in the error body so clients
 // can back off correctly.
-var ErrQuota = errors.New("service: per-client quota exhausted")
+var errQuota = errors.New("service: per-client quota exhausted")
 
 // ErrFleet reports that the distributed run fabric behind this manager
 // is saturated: every worker's queue is full past the backpressure
@@ -59,8 +61,12 @@ var ErrQuota = errors.New("service: per-client quota exhausted")
 // layer maps it to 429 with reason "fleet".
 var ErrFleet = errors.New("service: worker fleet saturated")
 
-// ErrNotFound reports an unknown job ID.
-var ErrNotFound = errors.New("service: no such job")
+// errNotFound reports an unknown job ID.
+var errNotFound = errors.New("service: no such job")
+
+// errClosed reports a submission to a closed manager, as in mcdserve's
+// shutdown window (the HTTP layer maps it to 503).
+var errClosed = errors.New("service: manager closed")
 
 // DispatchFunc executes one cache-missing, content-addressed run
 // somewhere else — the fabric coordinator's Execute, in production —
@@ -106,7 +112,7 @@ type Options struct {
 	// use) are exempt.
 	ClientQuota int
 	// Metrics receives the manager's instruments; nil creates a private
-	// registry (reachable via Manager.Metrics, served at GET /metrics).
+	// registry (served at GET /metrics).
 	Metrics *metrics.Registry
 	// Trace, if non-nil, enables the flight recorder: job lifecycle
 	// spans and per-interval controller decision records land in this
@@ -149,9 +155,9 @@ type Manager struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signalled on pending growth and on close
-	pending []*Job
+	pending []*job
 	closed  bool
-	jobs    map[string]*Job
+	jobs    map[string]*job
 	// retain is the job-table bound pruneLocked keeps: retainJobs,
 	// lowered only by tests.
 	retain int
@@ -181,7 +187,7 @@ func New(opts Options) *Manager {
 		opts:   opts,
 		ctx:    ctx,
 		cancel: cancel,
-		jobs:   make(map[string]*Job),
+		jobs:   make(map[string]*job),
 		retain: retainJobs,
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -211,12 +217,6 @@ func New(opts Options) *Manager {
 	}
 	return m
 }
-
-// Metrics returns the manager's instrument registry (GET /metrics).
-func (m *Manager) Metrics() *metrics.Registry { return m.met.reg }
-
-// Cache returns the manager's result store (may be nil).
-func (m *Manager) Cache() *resultcache.Cache { return m.opts.Cache }
 
 // Close cancels every job, waits for the runners to drain, and fails
 // whatever never got to run — so watchers (NDJSON streams, synchronous
@@ -262,13 +262,13 @@ func (m *Manager) runLoop(runner int) {
 // execute runs one job, translating panics (including the harness's
 // re-panicked task failures and context cancellations) into a Failed
 // state so a bad run can never kill the server.
-func (m *Manager) execute(runner int, j *Job) {
+func (m *Manager) execute(runner int, j *job) {
 	if err := j.ctx.Err(); err != nil {
 		m.finish(j, nil, err)
 		return
 	}
 	var created, started time.Time
-	j.update(func(j *Job) {
+	j.update(func(j *job) {
 		j.state = Running
 		j.started = time.Now()
 		created, started = j.created, j.started
@@ -318,12 +318,12 @@ func (m *Manager) execute(runner int, j *Job) {
 
 // finish is a job's one terminal transition: Done with body when err
 // is nil, Failed with err otherwise. The state is journaled before it
-// is published — publishing wakes WaitResult, and a job a client has
+// is published — publishing wakes waitResult, and a job a client has
 // seen finish must not come back queued after a crash — then traced,
 // logged and counted. Last, the job's context is released (a cancelCtx
 // stays registered on the manager's root context until cancelled — a
 // leak over a long-lived server otherwise) and the pruner told.
-func (m *Manager) finish(j *Job, body []byte, err error) {
+func (m *Manager) finish(j *job, body []byte, err error) {
 	state := Done
 	if err != nil {
 		state = Failed
@@ -331,12 +331,12 @@ func (m *Manager) finish(j *Job, body []byte, err error) {
 	m.journalState(j, state)
 	var started, finished time.Time
 	var hit bool
-	j.update(func(j *Job) {
+	j.update(func(j *job) {
 		j.state, j.finished = state, time.Now()
 		if err != nil {
 			j.errMsg = err.Error()
 		} else {
-			j.result = body
+			j.body = body
 		}
 		started, finished, hit = j.started, j.finished, j.hit
 	})
@@ -363,7 +363,7 @@ func (m *Manager) finish(j *Job, body []byte, err error) {
 // shutdown cancellation is not failed in the journal's eyes — the next
 // process replays and resumes it, which is exactly the crash-safety
 // contract (and makes graceful restarts resume too).
-func (m *Manager) journalState(j *Job, s State) {
+func (m *Manager) journalState(j *job, s State) {
 	if !j.journaled || m.ctx.Err() != nil {
 		return
 	}
@@ -385,11 +385,11 @@ func (m *Manager) noteLatency(d time.Duration) {
 	m.mu.Unlock()
 }
 
-// RetryAfter estimates how long a rejected client should wait before
+// retryAfter estimates how long a rejected client should wait before
 // retrying: the current queue drained at the recent per-job latency
 // across the runner pool, floored at one second (whole seconds, as the
 // Retry-After header wants).
-func (m *Manager) RetryAfter() time.Duration {
+func (m *Manager) retryAfter() time.Duration {
 	m.mu.Lock()
 	depth := len(m.pending)
 	lat := m.latEWMA
@@ -407,9 +407,9 @@ func (m *Manager) RetryAfter() time.Duration {
 // queue gives a job built by jobFor or runJob (its kind, total, key
 // and run closure) its queue identity and state; its context is a child
 // of the manager's.
-func (m *Manager) queue(j *Job, id, client string, journaled bool) {
+func (m *Manager) queue(j *job, id, client string, journaled bool) {
 	j.id, j.client, j.journaled = id, client, journaled
-	j.state, j.created, j.watch = Queued, time.Now(), make(chan struct{})
+	j.state, j.created, j.wake = Queued, time.Now(), make(chan struct{})
 	j.ctx, j.cancel = context.WithCancel(m.ctx)
 	if m.tracing() {
 		j.trc = trace.NewRing(maxJobTraceRecords)
@@ -419,7 +419,7 @@ func (m *Manager) queue(j *Job, id, client string, journaled bool) {
 // admit registers and enqueues a job. A non-empty client is charged
 // against the per-client quota; a non-nil sub is persisted to the
 // journal (its ID is filled in here) so the job survives a crash.
-func (m *Manager) admit(client string, sub *journal.Submit, j *Job) (*Job, error) {
+func (m *Manager) admit(client string, sub *journal.Submit, j *job) (*job, error) {
 	// The admission gate runs before any state is taken: fleet-wide
 	// backpressure (the fabric's saturation signal) rejects here, so a
 	// saturated fleet sheds load at the front door instead of queueing
@@ -435,10 +435,10 @@ func (m *Manager) admit(client string, sub *journal.Submit, j *Job) (*Job, error
 		closed := m.closed
 		m.mu.Unlock()
 		if closed {
-			return nil, errors.New("service: manager closed")
+			return nil, errClosed
 		}
 		m.met.rejected.With("queue").Inc()
-		return nil, ErrQueueFull
+		return nil, errQueueFull
 	}
 	if client != "" && m.opts.ClientQuota > 0 {
 		queued := 0
@@ -450,7 +450,7 @@ func (m *Manager) admit(client string, sub *journal.Submit, j *Job) (*Job, error
 		if queued >= m.opts.ClientQuota {
 			m.mu.Unlock()
 			m.met.rejected.With("quota").Inc()
-			return nil, fmt.Errorf("%w: client %q already holds %d queued jobs", ErrQuota, client, queued)
+			return nil, fmt.Errorf("%w: client %q already holds %d queued jobs", errQuota, client, queued)
 		}
 	}
 	m.seq++
@@ -496,7 +496,7 @@ func kindLabel(kind string) string {
 // replay and of the batch and experiment submissions, so a replayed job
 // is — by construction — the same computation its original submission
 // described.
-func (m *Manager) jobFor(sub *journal.Submit) (*Job, error) {
+func (m *Manager) jobFor(sub *journal.Submit) (*job, error) {
 	switch sub.Kind {
 	case journal.KindRun, journal.KindStream:
 		if sub.Run == nil {
@@ -521,7 +521,7 @@ func (m *Manager) jobFor(sub *journal.Submit) (*Job, error) {
 				return nil, fmt.Errorf("run %d: %w", i, err)
 			}
 		}
-		return &Job{kind: "batch", total: len(rs), run: m.runBatch(rs)}, nil
+		return &job{kind: "batch", total: len(rs), run: m.runBatch(rs)}, nil
 	case journal.KindExperiment:
 		if sub.Experiment == nil {
 			return nil, errors.New("service: experiment submission without a request")
@@ -529,7 +529,7 @@ func (m *Manager) jobFor(sub *journal.Submit) (*Job, error) {
 		if err := sub.Experiment.Validate(); err != nil {
 			return nil, err
 		}
-		return &Job{kind: "experiment:" + sub.Experiment.Name, run: m.runExperiment(*sub.Experiment)}, nil
+		return &job{kind: "experiment:" + sub.Experiment.Name, run: m.runExperiment(*sub.Experiment)}, nil
 	}
 	return nil, fmt.Errorf("service: unknown journaled job kind %q", sub.Kind)
 }
@@ -542,7 +542,7 @@ func (m *Manager) jobFor(sub *journal.Submit) (*Job, error) {
 func (m *Manager) restore(sub journal.Submit) bool {
 	j, err := m.jobFor(&sub)
 	if err != nil {
-		j = &Job{kind: sub.Kind}
+		j = &job{kind: sub.Kind}
 	}
 	m.queue(j, sub.ID, sub.Client, true)
 	m.mu.Lock()
@@ -557,31 +557,41 @@ func (m *Manager) restore(sub journal.Submit) bool {
 	return err == nil
 }
 
-// submitAs resolves and enqueues one journaled submission on behalf of
-// client.
-func (m *Manager) submitAs(client string, sub *journal.Submit) (*Job, error) {
-	j, err := m.jobFor(sub)
-	if err != nil {
-		return nil, err
+// submit enqueues one submission on behalf of client: it is charged
+// against the per-client quota ("" is exempt) and journaled for crash
+// replay. The run and stream handlers pass the job runJob built from
+// the request they already resolved; a nil j resolves the submission
+// through jobFor, as journal replay does.
+func (m *Manager) submit(client string, sub journal.Submit, j *job) (*job, error) {
+	if j == nil {
+		var err error
+		if j, err = m.jobFor(&sub); err != nil {
+			return nil, err
+		}
 	}
-	return m.admit(client, sub, j)
+	return m.admit(client, &sub, j)
 }
 
 // runJob builds an unqueued single-run job: kind run, or kind stream,
 // whose measured control intervals are published on the job as they
-// are produced.
-func (m *Manager) runJob(kind string, r wire.Resolved) *Job {
-	return &Job{kind: kind, total: 1, key: r.Key, run: func(ctx context.Context, j *Job) ([]byte, error) {
+// are produced, for watchers to drain with intervalsSince between
+// progress snapshots. Cancellation closes a stream's stepped session at
+// the next interval boundary; the partial result is discarded and the
+// job reports Failed with the context error. A completed stream stores
+// bytes identical to a one-shot run of the same request, so the
+// identical follow-up request is a cache hit.
+func (m *Manager) runJob(kind string, r wire.Resolved) *job {
+	return &job{kind: kind, total: 1, key: r.Key, run: func(ctx context.Context, j *job) ([]byte, error) {
 		var emit func(stats.Interval)
 		if kind == journal.KindStream {
 			emit = j.pushInterval
 		}
-		j.update(func(j *Job) { j.task = taskName(r) })
+		j.update(func(j *job) { j.task = taskName(r) })
 		body, hit, dispatched, err := m.runOne(ctx, j, r, emit)
 		if err != nil {
 			return nil, err
 		}
-		j.update(func(j *Job) { j.done, j.hit, j.dispatched = 1, hit, dispatched })
+		j.update(func(j *job) { j.done, j.hit, j.dispatched = 1, hit, dispatched })
 		return body, nil
 	}}
 }
@@ -594,7 +604,7 @@ func (m *Manager) runJob(kind string, r wire.Resolved) *Job {
 // interval, so cancellation — DELETE, a departed client, shutdown —
 // aborts the simulation at the next interval boundary instead of after
 // the full window.
-func (m *Manager) runOne(ctx context.Context, j *Job, r wire.Resolved, emit func(stats.Interval)) (body []byte, hit, dispatched bool, err error) {
+func (m *Manager) runOne(ctx context.Context, j *job, r wire.Resolved, emit func(stats.Interval)) (body []byte, hit, dispatched bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, false, err
 	}
@@ -612,33 +622,12 @@ func taskName(r wire.Resolved) string {
 	return req.Benchmark + "/" + req.ControllerName()
 }
 
-// SubmitRunAs enqueues one resolved run on behalf of client: the
-// submission is charged against the per-client quota ("" is exempt) and
-// journaled for crash replay. See runOne for its execution contract.
-func (m *Manager) SubmitRunAs(client string, r wire.Resolved) (*Job, error) {
-	req := r.Request()
-	return m.admit(client, &journal.Submit{Kind: journal.KindRun, Run: &req}, m.runJob(journal.KindRun, r))
-}
-
-// SubmitStreamAs is SubmitRunAs for a streamed run, the backing of the
-// service's "stream" run mode: watchers drain its intervals with
-// IntervalsSince, interleaved with the usual progress snapshots.
-// Cancellation closes the stepped session at the next interval boundary;
-// the partial result is discarded and the job reports Failed with the
-// context error. A completed streamed run stores bytes identical to a
-// one-shot run of the same request, so the follow-up identical request
-// is a cache hit.
-func (m *Manager) SubmitStreamAs(client string, r wire.Resolved) (*Job, error) {
-	req := r.Request()
-	return m.admit(client, &journal.Submit{Kind: journal.KindStream, Run: &req}, m.runJob(journal.KindStream, r))
-}
-
 // runBatch is the run closure of a batch job: the runs fan out through
 // mcd.RunBatch on the manager's worker bound, each through runOne; the
 // result body is a JSON array of canonical result encodings in
 // submission order.
-func (m *Manager) runBatch(rs []wire.Resolved) func(ctx context.Context, j *Job) ([]byte, error) {
-	return func(ctx context.Context, j *Job) ([]byte, error) {
+func (m *Manager) runBatch(rs []wire.Resolved) func(ctx context.Context, j *job) ([]byte, error) {
+	return func(ctx context.Context, j *job) ([]byte, error) {
 		// Each run keeps its canonical body (indexes are distinct, so
 		// the slice needs no lock); the assembled array reuses those
 		// bytes instead of a decode/re-encode round trip per run.
@@ -661,7 +650,7 @@ func (m *Manager) runBatch(rs []wire.Resolved) func(ctx context.Context, j *Job)
 		outs, err := mcd.RunBatch(ctx, batch, mcd.BatchOptions{
 			Workers: m.opts.Workers,
 			Progress: func(done, total int, name string) {
-				j.update(func(j *Job) { j.done, j.total, j.task = done, total, name })
+				j.update(func(j *job) { j.done, j.total, j.task = done, total, name })
 			},
 		})
 		if err != nil {
@@ -676,7 +665,7 @@ func (m *Manager) runBatch(rs []wire.Resolved) func(ctx context.Context, j *Job)
 			results[i] = b[:len(b)-1] // strip canonical trailing newline inside the array
 		}
 		if anyDispatched.Load() {
-			j.update(func(j *Job) { j.dispatched = true })
+			j.update(func(j *job) { j.dispatched = true })
 		}
 		body, err := json.Marshal(results)
 		if err != nil {
@@ -686,22 +675,16 @@ func (m *Manager) runBatch(rs []wire.Resolved) func(ctx context.Context, j *Job)
 	}
 }
 
-// SubmitBatchAs enqueues a set of runs (see runBatch) on behalf of
-// client, for quota accounting and crash-replayable journaling.
-func (m *Manager) SubmitBatchAs(client string, reqs []wire.RunRequest) (*Job, error) {
-	return m.submitAs(client, &journal.Submit{Kind: journal.KindBatch, Runs: reqs})
-}
-
 // runExperiment is the run closure of a whole table/figure/sweep; the
 // result body is the canonical wire.ExperimentResult encoding.
-func (m *Manager) runExperiment(e wire.ExperimentRequest) func(ctx context.Context, j *Job) ([]byte, error) {
-	return func(ctx context.Context, j *Job) ([]byte, error) {
+func (m *Manager) runExperiment(e wire.ExperimentRequest) func(ctx context.Context, j *job) ([]byte, error) {
+	return func(ctx context.Context, j *job) ([]byte, error) {
 		opts := e.Options()
 		opts.Workers = m.opts.Workers
 		opts.Cache = m.opts.Cache
 		opts.Context = ctx
 		opts.Progress = func(done, total int, name string) {
-			j.update(func(j *Job) { j.done, j.total, j.task = done, total, name })
+			j.update(func(j *job) { j.done, j.total, j.task = done, total, name })
 		}
 		if dispatch := m.opts.Dispatch; dispatch != nil {
 			// Every addressable grid cell of the experiment flows to the
@@ -711,7 +694,7 @@ func (m *Manager) runExperiment(e wire.ExperimentRequest) func(ctx context.Conte
 				b, _, err := dispatch(ctx, key, req)
 				return b, err
 			})
-			j.update(func(j *Job) { j.dispatched = true })
+			j.update(func(j *job) { j.dispatched = true })
 		}
 		res, err := wire.RunExperimentRequest(opts, e)
 		if err != nil {
@@ -719,13 +702,6 @@ func (m *Manager) runExperiment(e wire.ExperimentRequest) func(ctx context.Conte
 		}
 		return wire.EncodeExperiment(res)
 	}
-}
-
-// SubmitExperimentAs enqueues a whole experiment (see runExperiment) on
-// behalf of client, for quota accounting and crash-replayable
-// journaling.
-func (m *Manager) SubmitExperimentAs(client string, e wire.ExperimentRequest) (*Job, error) {
-	return m.submitAs(client, &journal.Submit{Kind: journal.KindExperiment, Experiment: &e})
 }
 
 // maxTerminalIntervalLogs is how many finished jobs keep their interval
@@ -764,18 +740,18 @@ func (m *Manager) pruneLocked() {
 	}
 }
 
-// Job returns a job by ID.
-func (m *Manager) Job(id string) (*Job, bool) {
+// job returns a job by ID.
+func (m *Manager) job(id string) (*job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	return j, ok
 }
 
-// Cancel cancels a job: a still-queued job is removed from the queue —
+// cancelJob cancels a job: a still-queued job is removed from the queue —
 // freeing its slot — and fails immediately; a running experiment's
 // context aborts it between simulations.
-func (m *Manager) Cancel(id string) bool {
+func (m *Manager) cancelJob(id string) bool {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	if !ok {
@@ -803,25 +779,25 @@ func (m *Manager) Cancel(id string) bool {
 	return true
 }
 
-// Jobs snapshots every known job, newest first.
-func (m *Manager) Jobs() []Snapshot {
+// listJobs snapshots every known job, newest first.
+func (m *Manager) listJobs() []Snapshot {
 	m.mu.Lock()
-	js := make([]*Job, 0, len(m.jobs))
+	js := make([]*job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		js = append(js, j)
 	}
 	m.mu.Unlock()
 	snaps := make([]Snapshot, len(js))
 	for i, j := range js {
-		snaps[i] = j.Snapshot()
+		snaps[i] = j.snapshot()
 	}
 	sort.Slice(snaps, func(a, b int) bool { return journal.IDLess(snaps[b].ID, snaps[a].ID) }) // newest first
 	return snaps
 }
 
-// Job is one unit of queued work. All fields are guarded by mu and read
-// through Snapshot.
-type Job struct {
+// job is one unit of queued work. All fields are guarded by mu and read
+// through snapshot.
+type job struct {
 	id        string
 	kind      string
 	key       string // spec key of a single-run job, set at submission; "" otherwise
@@ -830,7 +806,7 @@ type Job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	run    func(ctx context.Context, j *Job) ([]byte, error)
+	run    func(ctx context.Context, j *job) ([]byte, error)
 
 	mu         sync.Mutex
 	state      State
@@ -838,13 +814,13 @@ type Job struct {
 	total      int
 	task       string
 	errMsg     string
-	result     []byte
+	body       []byte
 	hit        bool
 	dispatched bool
 	created    time.Time
 	started    time.Time
 	finished   time.Time
-	watch      chan struct{}
+	wake       chan struct{}
 
 	// Interval log of a stream job: ivs[0] is interval number ivBase of
 	// the run (the log is bounded; a watcher that lags more than
@@ -862,8 +838,8 @@ type Job struct {
 const maxJobIntervals = 8192
 
 // pushInterval appends one measured interval record and wakes watchers.
-func (j *Job) pushInterval(iv stats.Interval) {
-	j.update(func(j *Job) {
+func (j *job) pushInterval(iv stats.Interval) {
+	j.update(func(j *job) {
 		j.ivs = append(j.ivs, iv)
 		if drop := len(j.ivs) - maxJobIntervals; drop > 0 {
 			j.ivBase += drop
@@ -874,21 +850,21 @@ func (j *Job) pushInterval(iv stats.Interval) {
 
 // dropIntervals releases the job's interval log; remaining watchers
 // observe the dropped records as an explicit gap.
-func (j *Job) dropIntervals() {
+func (j *job) dropIntervals() {
 	j.mu.Lock()
 	j.ivBase += len(j.ivs)
 	j.ivs = nil
 	j.mu.Unlock()
 }
 
-// IntervalsSince returns copies of the interval records produced at or
+// intervalsSince returns copies of the interval records produced at or
 // after absolute interval index n, the next index to resume from, and
 // how many records between n and the first returned one were already
 // overwritten (a consumer lagging past the log bound — report it, never
-// drop it silently). Pair it with Watch/Snapshot exactly like progress
+// drop it silently). Pair it with watch/snapshot exactly like progress
 // polling: take the watch channel, read the snapshot, then drain
 // intervals.
-func (j *Job) IntervalsSince(n int) (ivs []stats.Interval, next, dropped int) {
+func (j *job) intervalsSince(n int) (ivs []stats.Interval, next, dropped int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if n < j.ivBase {
@@ -902,42 +878,39 @@ func (j *Job) IntervalsSince(n int) (ivs []stats.Interval, next, dropped int) {
 	return append([]stats.Interval(nil), j.ivs[n-j.ivBase:]...), end, dropped
 }
 
-// ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
-
 // update applies fn under the job lock and wakes every watcher.
-func (j *Job) update(fn func(*Job)) {
+func (j *job) update(fn func(*job)) {
 	j.mu.Lock()
 	fn(j)
-	close(j.watch)
-	j.watch = make(chan struct{})
+	close(j.wake)
+	j.wake = make(chan struct{})
 	j.mu.Unlock()
 }
 
-func (j *Job) fail(err error) {
-	j.update(func(j *Job) {
+func (j *job) fail(err error) {
+	j.update(func(j *job) {
 		j.state = Failed
 		j.errMsg = err.Error()
 		j.finished = time.Now()
 	})
 }
 
-// Watch returns a channel closed at the next state/progress change;
-// callers grab it before Snapshot so no update is missed.
-func (j *Job) Watch() <-chan struct{} {
+// watch returns a channel closed at the next state/progress change;
+// callers grab it before snapshot so no update is missed.
+func (j *job) watch() <-chan struct{} {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.watch
+	return j.wake
 }
 
-// Result returns the finished job's body.
-func (j *Job) Result() ([]byte, bool) {
+// result returns the finished job's body.
+func (j *job) result() ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != Done {
 		return nil, false
 	}
-	return j.result, true
+	return j.body, true
 }
 
 // Snapshot is the JSON shape of a job's observable state.
@@ -963,8 +936,8 @@ type Snapshot struct {
 // Terminal reports whether the job has stopped moving.
 func (s Snapshot) Terminal() bool { return s.State == Done || s.State == Failed }
 
-// Snapshot copies the job's observable state.
-func (j *Job) Snapshot() Snapshot {
+// snapshot copies the job's observable state.
+func (j *job) snapshot() Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Snapshot{
@@ -975,17 +948,17 @@ func (j *Job) Snapshot() Snapshot {
 	}
 }
 
-// WaitResult blocks until the job finishes (or ctx is cancelled) and
+// waitResult blocks until the job finishes (or ctx is cancelled) and
 // returns the result body and final snapshot.
-func (j *Job) WaitResult(ctx context.Context) ([]byte, Snapshot, error) {
+func (j *job) waitResult(ctx context.Context) ([]byte, Snapshot, error) {
 	for {
-		ch := j.Watch()
-		snap := j.Snapshot()
+		ch := j.watch()
+		snap := j.snapshot()
 		if snap.Terminal() {
 			if snap.State == Failed {
 				return nil, snap, errors.New(snap.Error)
 			}
-			body, _ := j.Result()
+			body, _ := j.result()
 			return body, snap, nil
 		}
 		select {

@@ -1,4 +1,4 @@
-package service_test
+package service
 
 import (
 	"bufio"
@@ -12,7 +12,6 @@ import (
 
 	"mcd"
 	"mcd/internal/resultcache"
-	"mcd/internal/service"
 	"mcd/internal/wire"
 )
 
@@ -25,7 +24,7 @@ var small = wire.RunRequest{
 	Interval:  wire.U64(250),
 }
 
-func newServer(t *testing.T, opts service.Options) (*service.Manager, *httptest.Server) {
+func newServer(t *testing.T, opts Options) (*Manager, *httptest.Server) {
 	t.Helper()
 	if opts.Cache == nil {
 		c, err := resultcache.New(resultcache.Options{})
@@ -34,8 +33,8 @@ func newServer(t *testing.T, opts service.Options) (*service.Manager, *httptest.
 		}
 		opts.Cache = c
 	}
-	m := service.New(opts)
-	srv := httptest.NewServer(service.NewHandler(m))
+	m := New(opts)
+	srv := httptest.NewServer(NewHandler(m))
 	t.Cleanup(func() {
 		srv.Close()
 		m.Close()
@@ -70,7 +69,7 @@ func readBody(t *testing.T, resp *http.Response) []byte {
 // mcd.Run of the same spec: the serving layer must be a transparent
 // memoization of the library, byte for byte.
 func TestRunEndToEnd(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 
 	resp := postJSON(t, srv.URL+"/v1/runs", small)
 	if resp.StatusCode != http.StatusOK {
@@ -107,7 +106,7 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestRunRepeatIsByteIdenticalCacheHit(t *testing.T) {
-	m, srv := newServer(t, service.Options{})
+	m, srv := newServer(t, Options{})
 
 	r1 := postJSON(t, srv.URL+"/v1/runs", small)
 	b1 := readBody(t, r1)
@@ -120,14 +119,14 @@ func TestRunRepeatIsByteIdenticalCacheHit(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("repeated identical request returned different bytes")
 	}
-	s := m.Cache().Stats()
+	s := m.opts.Cache.Stats()
 	if s.Misses != 1 || s.Hits() == 0 {
 		t.Fatalf("cache stats = %+v, want exactly one simulation", s)
 	}
 }
 
 func TestRunRejectsUnknownConfig(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	bad := small
 	bad.Config = "bogus"
 	resp := postJSON(t, srv.URL+"/v1/runs", bad)
@@ -141,7 +140,7 @@ func TestRunRejectsUnknownConfig(t *testing.T) {
 }
 
 func TestRunRejectsUnknownFidelity(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	bad := small
 	bad.Fidelity = "turbo"
 	resp := postJSON(t, srv.URL+"/v1/runs", bad)
@@ -155,13 +154,13 @@ func TestRunRejectsUnknownFidelity(t *testing.T) {
 }
 
 func TestBatchJob(t *testing.T) {
-	_, srv := newServer(t, service.Options{Workers: 2})
+	_, srv := newServer(t, Options{Workers: 2})
 	reqs := []wire.RunRequest{small, {Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000), Interval: wire.U64(250)}}
 	resp := postJSON(t, srv.URL+"/v1/runs", map[string]any{"runs": reqs})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d: %s", resp.StatusCode, readBody(t, resp))
 	}
-	var snap service.Snapshot
+	var snap Snapshot
 	if err := json.Unmarshal(readBody(t, resp), &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +190,14 @@ func waitResult(t *testing.T, base, id string) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var snap service.Snapshot
+		var snap Snapshot
 		if err := json.Unmarshal(readBody(t, resp), &snap); err != nil {
 			t.Fatal(err)
 		}
-		if snap.State == service.Failed {
+		if snap.State == Failed {
 			t.Fatalf("job failed: %s", snap.Error)
 		}
-		if snap.State == service.Done {
+		if snap.State == Done {
 			resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
 			if err != nil {
 				t.Fatal(err)
@@ -227,12 +226,12 @@ func TestExperimentJob(t *testing.T) {
 		Window: 10_000, Warmup: 5_000,
 		Benchmarks: []string{"adpcm"},
 	}
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	resp := postJSON(t, srv.URL+"/v1/experiments", exp)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d: %s", resp.StatusCode, readBody(t, resp))
 	}
-	var snap service.Snapshot
+	var snap Snapshot
 	json.Unmarshal(readBody(t, resp), &snap)
 
 	// The event stream must deliver progress lines ending in a terminal
@@ -242,7 +241,7 @@ func TestExperimentJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer events.Body.Close()
-	var last service.Snapshot
+	var last Snapshot
 	lines := 0
 	sc := bufio.NewScanner(events.Body)
 	for sc.Scan() {
@@ -251,7 +250,7 @@ func TestExperimentJob(t *testing.T) {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
 	}
-	if lines == 0 || last.State != service.Done {
+	if lines == 0 || last.State != Done {
 		t.Fatalf("stream ended after %d lines in state %s (%s)", lines, last.State, last.Error)
 	}
 
@@ -278,7 +277,7 @@ func TestExperimentJob(t *testing.T) {
 // TestExperimentRejectsIgnoredField: a field the named experiment
 // ignores answers 400, and the error names it.
 func TestExperimentRejectsIgnoredField(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	resp := postJSON(t, srv.URL+"/v1/experiments", map[string]any{"name": "table6", "values": []float64{1}})
 	body := readBody(t, resp)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "values") {
@@ -290,7 +289,7 @@ func TestExperimentRejectsIgnoredField(t *testing.T) {
 // name request validation accepts is advertised, with parameter schemas
 // on the parameterized entries.
 func TestControllersEndpoint(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	resp, err := http.Get(srv.URL + "/v1/controllers")
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +332,7 @@ func TestControllersEndpoint(t *testing.T) {
 // byte-identical cache hit — the acceptance path for registry-added
 // controllers.
 func TestNewControllersRunByName(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	for _, req := range []wire.RunRequest{
 		{Benchmark: "adpcm", Controller: "pi", Window: 8_000, Warmup: wire.U64(4_000), Interval: wire.U64(250)},
 		{Benchmark: "adpcm", Controller: "coord", Params: map[string]float64{"step_mhz": 50},
@@ -367,7 +366,7 @@ func TestNewControllersRunByName(t *testing.T) {
 }
 
 func TestJobNotFound(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	resp, err := http.Get(srv.URL + "/v1/jobs/nope")
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +378,7 @@ func TestJobNotFound(t *testing.T) {
 }
 
 func TestHealthAndCacheStats(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	for _, path := range []string{"/v1/healthz", "/v1/cache/stats"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {

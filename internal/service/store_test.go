@@ -1,4 +1,4 @@
-package service_test
+package service
 
 import (
 	"bytes"
@@ -8,7 +8,6 @@ import (
 	"mcd/internal/control"
 	"mcd/internal/pipeline"
 	"mcd/internal/resultcache"
-	"mcd/internal/service"
 	"mcd/internal/sim"
 )
 
@@ -38,7 +37,7 @@ func init() {
 // succeed against a manager with a store, serve exactly the bytes of a
 // direct simulation, and leave the store untouched.
 func TestOpaqueRunsComputeUncached(t *testing.T) {
-	m, srv := newServer(t, service.Options{})
+	m, srv := newServer(t, Options{})
 	req := small
 	req.Config = "t-opaque"
 	spec, err := req.Spec()
@@ -69,7 +68,7 @@ func TestOpaqueRunsComputeUncached(t *testing.T) {
 		t.Errorf("streamed terminal frame differs from sim.Run: %+v", terminal)
 	}
 
-	if st := m.Cache().Stats(); st.Entries != 0 || st.Misses != 0 {
+	if st := m.opts.Cache.Stats(); st.Entries != 0 || st.Misses != 0 {
 		t.Errorf("an opaque run reached the store: %+v", st)
 	}
 }

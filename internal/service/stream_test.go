@@ -1,4 +1,4 @@
-package service_test
+package service
 
 import (
 	"bufio"
@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"mcd/internal/service"
 	"mcd/internal/wire"
 )
 
@@ -64,7 +63,7 @@ func decodeFrames(t *testing.T, body []byte) (ivs []wire.StreamFrame, terminal w
 // and a result frame byte-identical to the non-streamed body, and the
 // identical follow-up request answers X-Cache: hit.
 func TestStreamRun(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 
 	resp := postJSON(t, srv.URL+"/v1/runs", streamPayload(nil))
 	if resp.StatusCode != http.StatusOK {
@@ -112,13 +111,13 @@ func TestStreamRun(t *testing.T) {
 // TestStreamAsyncEvents queues a stream job and reads its /events feed:
 // interval frames interleave with progress snapshots until terminal.
 func TestStreamAsyncEvents(t *testing.T) {
-	m, srv := newServer(t, service.Options{})
+	m, srv := newServer(t, Options{})
 
 	resp := postJSON(t, srv.URL+"/v1/runs", streamPayload(map[string]any{"async": true}))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async stream submit: status %d", resp.StatusCode)
 	}
-	var snap service.Snapshot
+	var snap Snapshot
 	if err := json.Unmarshal(readBody(t, resp), &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestStreamAsyncEvents(t *testing.T) {
 	}
 	intervalLines, snapshotLines := 0, 0
 	sc := bufio.NewScanner(events.Body)
-	var last service.Snapshot
+	var last Snapshot
 	for sc.Scan() {
 		var f wire.StreamFrame
 		if json.Unmarshal(sc.Bytes(), &f) == nil && f.Type == wire.FrameInterval {
@@ -148,10 +147,10 @@ func TestStreamAsyncEvents(t *testing.T) {
 	if intervalLines == 0 || snapshotLines == 0 {
 		t.Errorf("events feed: %d interval lines, %d snapshots; want both", intervalLines, snapshotLines)
 	}
-	if last.State != service.Done {
+	if last.State != Done {
 		t.Errorf("final event state %q", last.State)
 	}
-	if _, ok := m.Job(snap.ID); !ok {
+	if _, ok := m.job(snap.ID); !ok {
 		t.Fatal("job vanished")
 	}
 }
@@ -160,7 +159,7 @@ func TestStreamAsyncEvents(t *testing.T) {
 // when its client leaves mid-stream, and never after the terminal frame
 // of a stream that ran to the end.
 func TestStreamCancelsOnlyOnDeparture(t *testing.T) {
-	m, srv := newServer(t, service.Options{})
+	m, srv := newServer(t, Options{})
 	const cancelled = "mcd_jobs_cancelled_total"
 
 	decodeFrames(t, readBody(t, postJSON(t, srv.URL+"/v1/runs", streamPayload(nil))))
@@ -192,9 +191,9 @@ func TestStreamCancelsOnlyOnDeparture(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		jobs := m.Jobs()
+		jobs := m.listJobs()
 		if len(jobs) > 0 && jobs[0].Terminal() {
-			if jobs[0].State != service.Failed {
+			if jobs[0].State != Failed {
 				t.Fatalf("departed stream's job ended %s, want failed", jobs[0].State)
 			}
 			break
@@ -211,7 +210,7 @@ func TestStreamCancelsOnlyOnDeparture(t *testing.T) {
 
 // TestStreamRejectsBatch pins the 400 on stream+batch.
 func TestStreamRejectsBatch(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	resp := postJSON(t, srv.URL+"/v1/runs", map[string]any{
 		"stream": true,
 		"runs":   []wire.RunRequest{small},
@@ -225,7 +224,7 @@ func TestStreamRejectsBatch(t *testing.T) {
 // TestBatchRejectsSingleRunFields pins the 400 on a batch with a
 // single-run field beside "runs": the field would otherwise be dropped.
 func TestBatchRejectsSingleRunFields(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 	for _, field := range []map[string]any{
 		{"benchmark": "mcf"},
 		{"controller": "pi"},

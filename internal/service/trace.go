@@ -25,10 +25,10 @@ func (m *Manager) tracing() bool { return m.opts.Trace != nil }
 // addTrace stamps the job identity onto one record and lands it in both
 // sinks: the job's own bounded trace (GET /v1/jobs/{id}/trace) and the
 // process-wide ring (GET /debug/trace).
-func (m *Manager) addTrace(j *Job, rec trace.Record) {
+func (m *Manager) addTrace(j *job, rec trace.Record) {
 	rec.Job = j.id
 	rec.Client = j.client
-	j.Trace().Add(rec)
+	j.traceRing().Add(rec)
 	m.opts.Trace.Add(rec)
 }
 
@@ -49,7 +49,7 @@ func instantRec(name string, at time.Time) trace.Record {
 // interval emitter always, plus — when tracing — cache probe/run/store
 // spans and the per-interval controller decision audit, all under the
 // run's spec key ("" for opaque controllers, which still trace).
-func (m *Manager) runHooks(j *Job, r wire.Resolved, emit func(stats.Interval)) wire.RunHooks {
+func (m *Manager) runHooks(j *job, r wire.Resolved, emit func(stats.Interval)) wire.RunHooks {
 	h := wire.RunHooks{Emit: emit}
 	if !m.tracing() {
 		return h
@@ -80,9 +80,9 @@ func (m *Manager) runHooks(j *Job, r wire.Resolved, emit func(stats.Interval)) w
 	return h
 }
 
-// Trace returns the job's bounded trace buffer (nil when tracing is
+// traceRing returns the job's bounded trace buffer (nil when tracing is
 // disabled or the buffer has been released; a nil Ring is inert).
-func (j *Job) Trace() *trace.Ring {
+func (j *job) traceRing() *trace.Ring {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.trc
@@ -90,7 +90,7 @@ func (j *Job) Trace() *trace.Ring {
 
 // dropTrace releases the job's trace buffer; like dropIntervals it runs
 // when a terminal job ages past the retained observability window.
-func (j *Job) dropTrace() {
+func (j *job) dropTrace() {
 	j.mu.Lock()
 	j.trc = nil
 	j.mu.Unlock()

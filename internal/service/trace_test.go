@@ -1,4 +1,4 @@
-package service_test
+package service
 
 import (
 	"bufio"
@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"mcd/internal/service"
 	"mcd/internal/trace"
 	"mcd/internal/wire"
 )
@@ -54,7 +53,7 @@ func getChrome(t *testing.T, url string) chromeDoc {
 // lifecycle phase, a per-interval controller decision audit with
 // per-domain arguments, and a valid process-wide /debug/trace ring.
 func TestJobTraceChromeExport(t *testing.T) {
-	_, srv := newServer(t, service.Options{Trace: trace.NewRing(1024)})
+	_, srv := newServer(t, Options{Trace: trace.NewRing(1024)})
 
 	resp := postJSON(t, srv.URL+"/v1/runs", map[string]any{
 		"benchmark": "adpcm", "config": "dynamic",
@@ -64,7 +63,7 @@ func TestJobTraceChromeExport(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", resp.StatusCode, readBody(t, resp))
 	}
-	var snap service.Snapshot
+	var snap Snapshot
 	if err := json.Unmarshal(readBody(t, resp), &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +138,14 @@ func TestJobTraceChromeExport(t *testing.T) {
 // trace endpoints with an error naming the -trace flag — and that an
 // unknown job stays a plain not-found.
 func TestTraceDisabledIs404(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 
 	resp := postJSON(t, srv.URL+"/v1/runs", map[string]any{
 		"benchmark": "adpcm", "config": "attack-decay",
 		"window": 8_000, "warmup": 4_000, "interval": 250,
 		"async": true,
 	})
-	var snap service.Snapshot
+	var snap Snapshot
 	if err := json.Unmarshal(readBody(t, resp), &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func scrapeCounter(t *testing.T, base, name string) float64 {
 // equals both the log overrun and the mcd_stream_gap_frames_total
 // scrape delta — the metric counts records, not frames.
 func TestEventsGapAccounting(t *testing.T) {
-	_, srv := newServer(t, service.Options{})
+	_, srv := newServer(t, Options{})
 
 	before := scrapeCounter(t, srv.URL, "mcd_stream_gap_frames_total")
 
@@ -220,7 +219,7 @@ func TestEventsGapAccounting(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", resp.StatusCode, readBody(t, resp))
 	}
-	var snap service.Snapshot
+	var snap Snapshot
 	if err := json.Unmarshal(readBody(t, resp), &snap); err != nil {
 		t.Fatal(err)
 	}

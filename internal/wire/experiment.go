@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -27,9 +28,20 @@ const (
 	ExpSweepController = "sweep-controller"
 )
 
+// staticTables maps "table1" to "table5" onto the paper's Tables 1–5:
+// fixed text, so their requests take no other field. ExpAll prints them
+// in name order.
+var staticTables = map[string]func() string{
+	"table1": bench.Table1, "table2": bench.Table2, "table3": bench.Table3,
+	"table4": bench.Table4, "table5": bench.Table5,
+}
+
 // Experiments returns the valid experiment names, sorted.
 func Experiments() []string {
 	e := []string{ExpTable6, ExpFig4, ExpHeadline, ExpAll, ExpSweepController}
+	for name := range staticTables {
+		e = append(e, name)
+	}
 	for fig := range bench.PaperSweeps {
 		e = append(e, "sweep-"+fig)
 	}
@@ -79,10 +91,17 @@ func (e ExperimentRequest) Validate() error {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", e.Name, strings.Join(Experiments(), ", "))
 	}
 	ctrl := e.Name == ExpSweepController
+	_, static := staticTables[e.Name]
 	for _, f := range []struct {
 		name       string
 		set, takes bool
 	}{
+		{"quick", e.Quick, !static},
+		{"window", e.Window != 0, !static},
+		{"warmup", e.Warmup != 0, !static},
+		{"benchmarks", len(e.Benchmarks) != 0, !static},
+		{"fidelity", e.Fidelity != "", !static},
+		{"sample_every", e.SampleEvery != 0, !static},
 		{"controller", e.Controller != "", ctrl},
 		{"param", e.Param != "", ctrl},
 		{"params", len(e.Params) != 0, ctrl},
@@ -179,12 +198,11 @@ func EncodeExperiment(r ExperimentResult) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// FromComparisons assembles the result of a grid experiment that has
-// already run, so one RunAll can feed several renderings (mcdbench
-// -exp all). ExpAll's output includes the static tables 1–5 followed by
-// the measured artifacts — exactly what the text CLI prints, so text
+// fromComparisons assembles the result of a grid experiment that has
+// already run. ExpAll's output includes the static tables 1–5 followed
+// by the measured artifacts — exactly what the text CLI prints, so text
 // and JSON modes carry the same content.
-func FromComparisons(name string, cs []bench.Comparison) ExperimentResult {
+func fromComparisons(name string, cs []bench.Comparison) ExperimentResult {
 	out := ""
 	switch name {
 	case ExpTable6:
@@ -194,10 +212,8 @@ func FromComparisons(name string, cs []bench.Comparison) ExperimentResult {
 	case ExpHeadline:
 		out = bench.Headline(cs)
 	case ExpAll:
-		for _, static := range []func() string{
-			bench.Table1, bench.Table2, bench.Table3, bench.Table4, bench.Table5,
-		} {
-			out += static() + "\n"
+		for _, name := range slices.Sorted(maps.Keys(staticTables)) {
+			out += staticTables[name]() + "\n"
 		}
 		out += bench.Table6(cs) + "\n" + bench.Fig4(cs) + "\n" + bench.Headline(cs)
 	}
@@ -214,8 +230,9 @@ func FromComparisons(name string, cs []bench.Comparison) ExperimentResult {
 
 // RunExperimentRequest executes an experiment request on the given
 // harness options — the one execution path shared by the CLIs and the
-// service, so both render byte-identical bodies. Grid experiments
-// (table6/fig4/headline/all) run the Table 6 comparison matrix; every
+// service, so both render byte-identical bodies. Tables 1–5 are their
+// fixed text; grid experiments (table6/fig4/headline/all) run the
+// Table 6 comparison matrix; every
 // sweep-* runs one SweepController call: a paper figure sweeps its
 // bench.PaperSweeps row over attack-decay, sweep-controller the
 // request's own controller and parameter.
@@ -223,10 +240,13 @@ func RunExperimentRequest(opts bench.Options, e ExperimentRequest) (ExperimentRe
 	if err := e.Validate(); err != nil {
 		return ExperimentResult{}, err
 	}
+	if table, ok := staticTables[e.Name]; ok {
+		return ExperimentResult{Experiment: e.Name, Output: table()}, nil
+	}
 	fig := strings.TrimPrefix(e.Name, "sweep-")
 	row, paper := bench.PaperSweeps[fig]
 	if !paper && e.Name != ExpSweepController {
-		return FromComparisons(e.Name, opts.RunAll()), nil
+		return fromComparisons(e.Name, opts.RunAll()), nil
 	}
 	ctrl, param, values, fixed := e.Controller, e.Param, e.Values, e.Params
 	if paper {

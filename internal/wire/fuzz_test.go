@@ -194,6 +194,8 @@ func FuzzExperimentRequest(f *testing.F) {
 		`{"name":"table6","fidelity":"bogus"}`,
 		`{"name":"bogus"}`,
 		`{"name":"table6","async":true}`,
+		`{"name":"table1"}`,
+		`{"name":"table5","quick":true,"window":5}`,
 	} {
 		f.Add([]byte(s))
 	}

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"mcd/internal/bench"
 )
 
 // TestEveryControllerRoundTrips is the registry contract at the wire
@@ -185,6 +187,16 @@ func TestExperimentRejectsIgnoredFields(t *testing.T) {
 		{ExperimentRequest{Name: ExpFig4, Values: []float64{1}}, "values"},
 		{ExperimentRequest{Name: ExpHeadline, Values: []float64{1}}, "values"},
 		{ExperimentRequest{Name: ExpAll, Values: []float64{1}}, "values"},
+		{ExperimentRequest{Name: "table1", Quick: true}, "quick"},
+		{ExperimentRequest{Name: "table2", Window: 5}, "window"},
+		{ExperimentRequest{Name: "table3", Warmup: 5}, "warmup"},
+		{ExperimentRequest{Name: "table4", Benchmarks: []string{"adpcm"}}, "benchmarks"},
+		{ExperimentRequest{Name: "table5", Fidelity: "exact"}, "fidelity"},
+		{ExperimentRequest{Name: "table1", SampleEvery: 4}, "sample_every"},
+		{ExperimentRequest{Name: "table2", Controller: sweep.Controller}, "controller"},
+		{ExperimentRequest{Name: "table3", Param: sweep.Param}, "param"},
+		{ExperimentRequest{Name: "table4", Params: sweep.Params}, "params"},
+		{ExperimentRequest{Name: "table5", Values: []float64{1}}, "values"},
 	} {
 		err := tc.req.Validate()
 		switch {
@@ -194,6 +206,21 @@ func TestExperimentRejectsIgnoredFields(t *testing.T) {
 			t.Errorf("%+v accepted, want %q rejected", tc.req, tc.field)
 		case tc.field != "" && !strings.Contains(err.Error(), `"`+tc.field+`"`):
 			t.Errorf("%+v: error %q does not name %q", tc.req, err, tc.field)
+		}
+	}
+	// A bare static-table request is valid and answers the table's text.
+	for name, table := range map[string]func() string{
+		"table1": bench.Table1, "table2": bench.Table2, "table3": bench.Table3,
+		"table4": bench.Table4, "table5": bench.Table5,
+	} {
+		req := ExperimentRequest{Name: name}
+		if err := req.Validate(); err != nil {
+			t.Errorf("%s rejected: %v", name, err)
+			continue
+		}
+		res, err := RunExperimentRequest(req.Options(), req)
+		if err != nil || res.Experiment != name || res.Output != table() || res.Comparisons != nil || res.Sweep != nil {
+			t.Errorf("%s: result %+v, %v; want the bare text of its table", name, res, err)
 		}
 	}
 }
